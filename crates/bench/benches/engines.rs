@@ -1,4 +1,4 @@
-//! Lockstep vs threaded vs sharded engine, and the spin barrier vs
+//! Lockstep vs sharded engine, and the spin barrier vs
 //! `std::sync::Barrier` — ablation for DESIGN.md §5.4 and
 //! docs/CONCURRENCY.md.
 
@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sskel_bench::{inputs, ring_with_chords};
 use sskel_kset::KSetAgreement;
 use sskel_model::sync::{ParkingBarrier, SpinBarrier, WindowedBarrier};
-use sskel_model::{run_lockstep, run_sharded, run_threaded, FixedSchedule, RunUntil, ShardPlan};
+use sskel_model::{run_lockstep, run_sharded, FixedSchedule, RunUntil, ShardPlan};
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines");
@@ -29,13 +29,6 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lockstep", n), &n, |b, _| {
             b.iter(|| {
                 run_lockstep(&s, KSetAgreement::spawn_all(n, &ins), until)
-                    .0
-                    .rounds_executed
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("threaded", n), &n, |b, _| {
-            b.iter(|| {
-                run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
                     .0
                     .rounds_executed
             })
@@ -57,8 +50,8 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 /// Fixed-horizon runs at large n over a sparse skeleton: the regime the
-/// sharded engine exists for. One thread per process (`threaded`) pays a
-/// context switch per process per round; `sharded` pays at most one park
+/// sharded engine exists for. One thread per process would pay a context
+/// switch per process per round; a coarse shard plan pays at most one park
 /// per shard per window.
 fn bench_engines_large_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines_large_n");
@@ -69,13 +62,6 @@ fn bench_engines_large_n(c: &mut Criterion) {
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
-    group.bench_function(BenchmarkId::new("threaded", n), |b| {
-        b.iter(|| {
-            run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
-                .0
-                .rounds_executed
-        })
-    });
     for &shards in &[1usize, 4] {
         group.bench_function(BenchmarkId::new(format!("sharded{shards}_w4"), n), |b| {
             b.iter(|| {

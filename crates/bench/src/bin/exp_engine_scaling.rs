@@ -1,20 +1,21 @@
-//! **E7** — engine equivalence and scaling: the threaded engine (one OS
-//! thread per process, channels, parking barrier) produces identical traces to
-//! the lockstep engine; wall-clock comparison shows where real threading
-//! pays off (it doesn't at simulation scale — the point is fidelity, not
-//! speed, exactly the "doable with channels" reproduction hint).
+//! **E7** — engine equivalence and scaling: the sharded engine at one OS
+//! thread per process (`ShardPlan::new(n)`: channels, parking barrier)
+//! produces identical traces to the lockstep engine; wall-clock comparison
+//! shows where real threading pays off (it doesn't at simulation scale —
+//! the point is fidelity, not speed, exactly the "doable with channels"
+//! reproduction hint).
 
 use std::time::Instant;
 
 use sskel_bench::{inputs, std_schedule, SEED};
 use sskel_kset::{lemma11_bound, KSetAgreement};
-use sskel_model::{run_lockstep, run_threaded, RunUntil};
+use sskel_model::{run_lockstep, run_sharded, RunUntil, ShardPlan};
 
 fn main() {
-    println!("E7: lockstep vs threaded engine (identical traces asserted)\n");
+    println!("E7: lockstep vs one thread per process (identical traces asserted)\n");
     println!(
         "{:>4} | {:>12} {:>12} {:>8} | {:>10}",
-        "n", "lockstep", "threaded", "ratio", "rounds"
+        "n", "lockstep", "per-proc", "ratio", "rounds"
     );
     println!("{}", "-".repeat(56));
     for n in [2usize, 4, 8, 16, 32] {
@@ -29,7 +30,12 @@ fn main() {
         let lock = t0.elapsed();
 
         let t0 = Instant::now();
-        let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until);
+        let (b, _) = run_sharded(
+            &s,
+            KSetAgreement::spawn_all(n, &ins),
+            until,
+            ShardPlan::new(n),
+        );
         let thr = t0.elapsed();
 
         assert_eq!(a.decisions, b.decisions, "trace divergence at n={n}");
@@ -45,7 +51,7 @@ fn main() {
     }
     println!(
         "\ntraces identical on every row ✓ (threading overhead dominates at\n\
-         simulation scale — the threaded engine is a fidelity check, not an\n\
-         optimization)"
+         simulation scale — one thread per process is a fidelity check, not\n\
+         an optimization)"
     );
 }

@@ -29,9 +29,9 @@ use sskel_kset::{lemma11_bound, AgreementPool, DecisionRule, KSetAgreement, Skel
 use sskel_model::engine::{resume_from_journal, run_lockstep_journaled};
 use sskel_model::{
     run_lockstep, run_lockstep_codec, run_multiplex_codec, run_sharded, run_sharded_codec,
-    run_socket, run_threaded, ChurnAdversary, CorruptionOverlay, FixedSchedule, MultiplexPlan,
-    MuxInstance, NoFaults, RotatingRootAdversary, RunMeta, RunUntil, Schedule, ShardPlan,
-    SocketPlan, StableRootAdversary,
+    run_socket, ChurnAdversary, CorruptionOverlay, FixedSchedule, MultiplexPlan, MuxInstance,
+    NoFaults, RotatingRootAdversary, RunMeta, RunUntil, Schedule, ShardPlan, SocketPlan,
+    StableRootAdversary,
 };
 
 struct Record {
@@ -176,11 +176,6 @@ fn engines_workloads(out: &mut Vec<Record>) {
                 .0
                 .rounds_executed
         }));
-        out.push(measure(&format!("engines/threaded/{n}"), || {
-            run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
-                .0
-                .rounds_executed
-        }));
         out.push(measure(&format!("engines/sharded/{n}"), || {
             run_sharded(
                 &s,
@@ -194,18 +189,13 @@ fn engines_workloads(out: &mut Vec<Record>) {
     }
 
     // Large-n fixed-horizon workload over a sparse skeleton: the regime
-    // sharding exists for. One thread per process (`threaded`) pays ~n
-    // context switches per round on the single-core container; `sharded`
-    // runs the same rounds on 4 threads with a barrier every 4th round.
+    // sharding exists for. One thread per process would pay ~n context
+    // switches per round on a single core; `sharded` runs the same rounds
+    // on 4 threads with a barrier every 4th round.
     let n = 256usize;
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
-    out.push(measure("engines/threaded/256x6r", || {
-        run_threaded(&s, KSetAgreement::spawn_all(n, &ins), until)
-            .0
-            .rounds_executed
-    }));
     out.push(measure("engines/sharded/256x6r_s4w4", || {
         run_sharded(
             &s,
@@ -234,7 +224,7 @@ fn socket_workloads(out: &mut Vec<Record>) {
     for &n in &[16usize, 64] {
         let s = FixedSchedule::synchronous(n);
         let ins = inputs(n);
-        // n = 16 runs to decision like its lockstep/threaded/sharded
+        // n = 16 runs to decision like its lockstep/sharded
         // siblings; n = 64 is horizon-bounded — a full synchronous
         // decision run at that size pushes gigabytes of dense
         // approximation frames through loopback per iteration, which
@@ -259,8 +249,8 @@ fn socket_workloads(out: &mut Vec<Record>) {
         }));
     }
 
-    // the large-n fixed-horizon workload of `engines/{threaded,sharded}/
-    // 256x6r`, now with the inter-shard frames on the wire
+    // the large-n fixed-horizon workload of `engines/sharded/256x6r_s4w4`,
+    // now with the inter-shard frames on the wire
     let n = 256usize;
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);

@@ -15,7 +15,7 @@
 //! | `panic-discipline` (R1) | no panic constructs or slice indexing in never-panic zones |
 //! | `safety-comment` / `forbid-unsafe` (R2) | every `unsafe` has a `SAFETY:` comment; zero-unsafe crates carry `#![forbid(unsafe_code)]` |
 //! | `determinism` (R3) | no wall clocks, hash-order iteration or unseeded RNG in trace-affecting code |
-//! | `atomic-ordering` (R4) | every `Ordering::*` use carries an `// ordering:` argument in the barrier/multiplex protocol files |
+//! | `atomic-ordering` (R4) | every `Ordering::*` use carries an `// ordering:` argument in the barrier, shard-worker, socket and multiplex protocol files |
 //!
 //! Run it as `cargo run -p sskel-lint` (exit 0 = clean, exit 1 = findings
 //! as `file:line · rule · message`); it also runs inside tier-1 as the
@@ -175,6 +175,10 @@ impl Default for Config {
             ordering_files: vec![
                 "crates/model/src/sync.rs",
                 "crates/model/src/engine/multiplex.rs",
+                // The shard worker's decided flags and the socket
+                // engine's abort flag.
+                "crates/model/src/engine/sharded.rs",
+                "crates/model/src/engine/socket.rs",
             ],
         }
     }

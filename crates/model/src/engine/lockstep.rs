@@ -1,12 +1,13 @@
 //! Deterministic single-threaded round engine.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::{Received, RoundAlgorithm};
-use crate::engine::RunUntil;
-use crate::fault::{ArcTransport, CodecTransport, Delivery, FaultCause, FaultPlane, Transport};
+use crate::engine::{settle, RunUntil};
+use crate::fault::{ArcTransport, CodecTransport, FaultPlane, Transport};
 use crate::schedule::Schedule;
 use crate::trace::RunTrace;
 use crate::wire::{Wire, WireSized};
@@ -47,13 +48,16 @@ where
     A::Msg: Wire,
     P: FaultPlane,
 {
-    run_transport(
+    let Ok(out) = run_transport(
         schedule,
         algs,
         until,
         &CodecTransport::new(plane),
-        |_, _: &[A]| {},
-    )
+        FIRST_ROUND,
+        RunTrace::new(schedule.n()),
+        |_, _, _: &[A], _| Ok::<(), Infallible>(()),
+    );
+    out
 }
 
 /// Like [`run_lockstep`], but invokes `observer(r, &algs)` at the end of
@@ -64,7 +68,7 @@ pub fn run_lockstep_observed<S, A, O>(
     schedule: &S,
     algs: Vec<A>,
     until: RunUntil,
-    observer: O,
+    mut observer: O,
 ) -> (RunTrace, Vec<A>)
 where
     S: Schedule + ?Sized,
@@ -72,27 +76,49 @@ where
     A::Msg: WireSized,
     O: FnMut(Round, &[A]),
 {
-    run_transport(schedule, algs, until, &ArcTransport, observer)
+    let Ok(out) = run_transport(
+        schedule,
+        algs,
+        until,
+        &ArcTransport,
+        FIRST_ROUND,
+        RunTrace::new(schedule.n()),
+        |r, _, algs: &[A], _| {
+            observer(r, algs);
+            Ok::<(), Infallible>(())
+        },
+    );
+    out
 }
 
 /// The engine body, generic over the payload path: [`ArcTransport`] is the
 /// classic shared-reference hand-off, [`CodecTransport`] the framed byte
 /// path with fault injection. The structure (and, under a no-op plane, the
-/// accounting) is identical either way; faults only surface as
-/// [`Delivery::Dropped`]/[`Delivery::Quarantined`] arms at delivery time.
-fn run_transport<S, A, T, O>(
+/// accounting) is identical either way; faults only surface as dropped or
+/// quarantined frames at delivery time.
+///
+/// Runs rounds `start, start + 1, …` into `trace`, which already holds
+/// whatever earlier rounds recorded (a journal resume replays those).
+/// After each round, once decisions are polled, `end_of_round(r, frames,
+/// algs, trace)` sees the round's packed broadcast frames; its first
+/// error ends the run. Observers and the journal writer are such hooks.
+///
+/// # Panics
+/// Panics if `algs.len() != schedule.n()`.
+pub(crate) fn run_transport<S, A, T, E>(
     schedule: &S,
     mut algs: Vec<A>,
     until: RunUntil,
     transport: &T,
-    mut observer: O,
-) -> (RunTrace, Vec<A>)
+    start: Round,
+    mut trace: RunTrace,
+    mut end_of_round: impl FnMut(Round, &[T::Frame], &[A], &RunTrace) -> Result<(), E>,
+) -> Result<(RunTrace, Vec<A>), E>
 where
     S: Schedule + ?Sized,
     A: RoundAlgorithm,
     A::Msg: WireSized,
     T: Transport<A::Msg>,
-    O: FnMut(Round, &[A]),
 {
     let n = schedule.n();
     assert_eq!(
@@ -100,19 +126,15 @@ where
         n,
         "need exactly one algorithm instance per process"
     );
-    let mut trace = RunTrace::new(n);
 
     // Round-loop buffers, reused across rounds: the communication graph,
-    // the broadcast vector, its packed frames, one delivery vector, and
-    // the per-sender receiver counts (popcounted once per round, not once
-    // per message).
+    // the broadcast vector, its packed frames and one delivery vector.
     let mut g = Digraph::empty(n);
     let mut msgs: Vec<Arc<A::Msg>> = Vec::with_capacity(n);
     let mut frames: Vec<T::Frame> = Vec::with_capacity(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
-    let mut receivers: Vec<u64> = vec![0; n];
 
-    let mut r: Round = FIRST_ROUND;
+    let mut r: Round = start;
     loop {
         schedule.graph_into(r, &mut g);
         debug_assert_eq!(g.n(), n, "schedule emitted graph over wrong universe");
@@ -129,16 +151,12 @@ where
         // frames the fault plane will let through (the plane is a pure
         // function both sides evaluate identically), so the stats describe
         // traffic that actually reached a receiver.
-        for (p, deg) in receivers.iter_mut().enumerate() {
+        for (p, m) in msgs.iter().enumerate() {
             let me = ProcessId::from_usize(p);
-            *deg = transport.delivered_count(r, me, g.out_neighbors(me));
-        }
-        for (m, &recv_count) in msgs.iter().zip(&receivers) {
-            let sz = m.wire_bytes() as u64;
-            trace.msg_stats.broadcasts += 1;
-            trace.msg_stats.broadcast_bytes += sz;
-            trace.msg_stats.deliveries += recv_count;
-            trace.msg_stats.delivered_bytes += sz * recv_count;
+            let receivers = transport.delivered_count(r, me, g.out_neighbors(me));
+            trace
+                .msg_stats
+                .add_broadcast(m.wire_bytes() as u64, receivers);
         }
 
         // Deliveries along G^r, then transition functions T_p^r.
@@ -146,12 +164,9 @@ where
             let me = ProcessId::from_usize(p);
             rcv.clear();
             for q in g.in_neighbors(me).iter() {
-                match transport.unpack(r, q, me, frames[q.index()].clone()) {
-                    Delivery::Deliver(m) => rcv.insert(q, m),
-                    Delivery::Dropped => trace.faults.record(r, q, me, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        trace.faults.record(r, q, me, FaultCause::Quarantined(e));
-                    }
+                let d = transport.unpack(r, q, me, frames[q.index()].clone());
+                if let Some(m) = settle(d, r, q, me, &mut trace.faults) {
+                    rcv.insert(q, m);
                 }
             }
             alg.receive(r, &rcv);
@@ -168,7 +183,7 @@ where
         }
 
         trace.rounds_executed = r;
-        observer(r, &algs);
+        end_of_round(r, &frames, &algs, &trace)?;
 
         if until.should_stop(r, trace.all_decided()) {
             break;
@@ -177,60 +192,19 @@ where
     }
 
     trace.faults.finalize();
-    (trace, algs)
+    Ok((trace, algs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Value;
+    use crate::engine::fixture::spawn;
     use crate::schedule::{FixedSchedule, TableSchedule};
-    use sskel_graph::Digraph;
-
-    /// Floods the minimum seen value; decides after `horizon` rounds.
-    struct MinFlood {
-        x: Value,
-        horizon: Round,
-        decision: Option<Value>,
-    }
-
-    impl MinFlood {
-        fn spawn(n: usize, horizon: Round, inputs: &[Value]) -> Vec<Self> {
-            inputs
-                .iter()
-                .take(n)
-                .map(|&x| MinFlood {
-                    x,
-                    horizon,
-                    decision: None,
-                })
-                .collect()
-        }
-    }
-
-    impl RoundAlgorithm for MinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
-        }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
-                self.x = self.x.min(v);
-            }
-            if r >= self.horizon {
-                self.decision.get_or_insert(self.x);
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            self.decision
-        }
-    }
 
     #[test]
     fn synchronous_min_flood_reaches_consensus() {
         let s = FixedSchedule::synchronous(5);
-        let algs = MinFlood::spawn(5, 2, &[50, 40, 30, 20, 10]);
-        let (trace, _) = run_lockstep(&s, algs, RunUntil::AllDecided { max_rounds: 10 });
+        let (trace, _) = run_lockstep(&s, spawn(5, 2), RunUntil::AllDecided { max_rounds: 10 });
         assert!(trace.all_decided());
         assert_eq!(trace.distinct_decision_values(), vec![10]);
         assert_eq!(trace.rounds_executed, 2);
@@ -247,16 +221,14 @@ mod tests {
         g.add_edge(ProcessId::new(2), ProcessId::new(3));
         g.add_edge(ProcessId::new(3), ProcessId::new(2));
         let s = FixedSchedule::new(g);
-        let algs = MinFlood::spawn(4, 3, &[4, 3, 2, 1]);
-        let (trace, _) = run_lockstep(&s, algs, RunUntil::AllDecided { max_rounds: 10 });
-        assert_eq!(trace.distinct_decision_values(), vec![1, 3]);
+        let (trace, _) = run_lockstep(&s, spawn(4, 3), RunUntil::AllDecided { max_rounds: 10 });
+        assert_eq!(trace.distinct_decision_values(), vec![10, 30]);
     }
 
     #[test]
     fn message_stats_count_edges() {
         let s = FixedSchedule::synchronous(3);
-        let algs = MinFlood::spawn(3, 1, &[1, 2, 3]);
-        let (trace, _) = run_lockstep(&s, algs, RunUntil::Rounds(2));
+        let (trace, _) = run_lockstep(&s, spawn(3, 1), RunUntil::Rounds(2));
         // 3 broadcasts per round × 2 rounds
         assert_eq!(trace.msg_stats.broadcasts, 6);
         // complete graph: every broadcast reaches n = 3 receivers
@@ -269,9 +241,8 @@ mod tests {
     #[test]
     fn observer_sees_every_round() {
         let s = FixedSchedule::synchronous(2);
-        let algs = MinFlood::spawn(2, 100, &[1, 2]);
         let mut seen = Vec::new();
-        let (_, _) = run_lockstep_observed(&s, algs, RunUntil::Rounds(5), |r, states| {
+        let (_, _) = run_lockstep_observed(&s, spawn(2, 100), RunUntil::Rounds(5), |r, states| {
             seen.push((r, states.len()));
         });
         assert_eq!(seen, vec![(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]);
@@ -280,8 +251,7 @@ mod tests {
     #[test]
     fn run_until_rounds_is_exact() {
         let s = FixedSchedule::synchronous(2);
-        let algs = MinFlood::spawn(2, 1, &[1, 2]);
-        let (trace, _) = run_lockstep(&s, algs, RunUntil::Rounds(7));
+        let (trace, _) = run_lockstep(&s, spawn(2, 1), RunUntil::Rounds(7));
         assert_eq!(trace.rounds_executed, 7);
         // decision round is when it was first observed, not when run ended
         assert_eq!(trace.decision_of(ProcessId::new(0)).unwrap().round, 1);
@@ -289,14 +259,13 @@ mod tests {
 
     #[test]
     fn table_schedule_drives_dynamic_graphs() {
-        // round 1: p2 isolated from p1; round 2+: complete
+        // round 1: p1 does not hear p2; round 2+: complete
         let mut g1 = Digraph::complete(2);
         g1.remove_edge(ProcessId::new(1), ProcessId::new(0));
         let s = TableSchedule::new(vec![g1], Digraph::complete(2));
-        let algs = MinFlood::spawn(2, 1, &[5, 1]);
-        let (trace, _) = run_lockstep(&s, algs, RunUntil::Rounds(3));
+        let (trace, _) = run_lockstep(&s, spawn(2, 1), RunUntil::Rounds(3));
         // p1 decided at round 1 without hearing p2's smaller value
-        assert_eq!(trace.decision_of(ProcessId::new(0)).unwrap().value, 5);
-        assert_eq!(trace.decision_of(ProcessId::new(1)).unwrap().value, 1);
+        assert_eq!(trace.decision_of(ProcessId::new(0)).unwrap().value, 20);
+        assert_eq!(trace.decision_of(ProcessId::new(1)).unwrap().value, 10);
     }
 }

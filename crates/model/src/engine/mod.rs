@@ -4,19 +4,22 @@
 //! through the round structure of a [`crate::schedule::Schedule`]:
 //!
 //! * [`lockstep`] — deterministic, single-threaded, supports per-round
-//!   observers (used for Figure 1 and the lemma-invariant tests);
-//! * [`threaded`] — one OS thread per process, real message channels
-//!   (std mpsc) and at most one parking barrier per round; asserted to
-//!   produce traces identical to lockstep;
+//!   observers (used for Figure 1 and the lemma-invariant tests); its one
+//!   round body also drives the durable journal ([`recovery`]);
 //! * [`sharded`] — `k` processes per thread ([`ShardPlan`]), one inbox per
 //!   shard, direct in-memory delivery inside a shard, and a bounded-skew
-//!   [`crate::sync::WindowedBarrier`] under a fixed horizon; also
-//!   trace-identical to lockstep;
-//! * [`socket`] — the sharded partition with every inter-shard frame
+//!   [`crate::sync::WindowedBarrier`] under a fixed horizon; trace-identical
+//!   to lockstep. `ShardPlan::new(n)` is the one-thread-per-process
+//!   configuration;
+//! * [`socket`] — the same shard worker with every inter-shard frame
 //!   carried over a real loopback [`std::net::TcpStream`] ([`SocketPlan`]),
 //!   stream framing with partial-read resumption, per-connection read
 //!   timeouts and typed [`SocketError`]s; trace-identical to
 //!   [`run_lockstep_codec`] over the same schedule, seed and fault plane.
+//!
+//! The sharded and socket engines share one shard round loop and differ
+//! only in the link between shards: an in-process channel with parking
+//! barriers, or TCP streams with abortable barriers.
 //!
 //! [`multiplex`] layers *agreement as a service* on top of the sharded
 //! partition: `M` concurrent instances on one worker pool
@@ -30,9 +33,10 @@
 //! `docs/CONCURRENCY.md` at the repository root compares the engines and
 //! their synchronization protocols in detail.
 //!
-//! Each engine also has a `run_*_codec` twin that routes every payload
-//! through the wire codec and a [`crate::fault::FaultPlane`] (Byzantine
-//! frame corruption, quarantine-and-survive receivers), and
+//! Each engine also has a codec twin (`run_*_codec`; the socket engine is
+//! codec-only) that routes every payload through the wire codec and a
+//! [`crate::fault::FaultPlane`] (Byzantine frame corruption,
+//! quarantine-and-survive receivers), and
 //! [`recovery::run_lockstep_recovering`] adds crash/restart recovery from
 //! snapshots taken at the canonical rebase cut points.
 
@@ -41,7 +45,6 @@ pub mod multiplex;
 pub mod recovery;
 pub mod sharded;
 pub mod socket;
-pub mod threaded;
 
 pub use lockstep::{run_lockstep, run_lockstep_codec, run_lockstep_observed};
 pub use multiplex::{run_multiplex_codec, MultiplexPlan, MuxInstance};
@@ -50,9 +53,12 @@ pub use sharded::{run_sharded, run_sharded_codec, ShardPlan};
 pub use socket::{
     run_socket, run_socket_codec, PacketEvent, PacketStream, SocketError, SocketPlan,
 };
-pub use threaded::{run_threaded, run_threaded_codec};
 
-use sskel_graph::Round;
+use std::sync::Arc;
+
+use sskel_graph::{ProcessId, Round};
+
+use crate::fault::{Delivery, FaultCause, FaultStats};
 
 /// When an engine stops executing rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,13 +85,123 @@ impl RunUntil {
     }
 
     /// The round the run stops at when the stop condition depends on
-    /// nothing but the round number — in that case the threaded engine
-    /// needs no per-round global coordination at all.
+    /// nothing but the round number. The shard worker then needs no
+    /// per-round stop verdict, only the windowed skew bound.
     #[inline]
     pub(crate) fn static_horizon(self) -> Option<Round> {
         match self {
             RunUntil::Rounds(max) => Some(max),
             RunUntil::AllDecided { .. } => None,
+        }
+    }
+}
+
+/// Files what the transport made of the round-`r` frame on edge
+/// `from → to`: a dropped or quarantined frame goes into the fault
+/// ledger, a delivered payload is returned.
+pub(crate) fn settle<M>(
+    delivery: Delivery<M>,
+    r: Round,
+    from: ProcessId,
+    to: ProcessId,
+    faults: &mut FaultStats,
+) -> Option<Arc<M>> {
+    let cause = match delivery {
+        Delivery::Deliver(m) => return Some(m),
+        Delivery::Dropped => FaultCause::Dropped,
+        Delivery::Quarantined(e) => FaultCause::Quarantined(e),
+    };
+    faults.record(r, from, to, cause);
+    None
+}
+
+/// The toy algorithm every engine's unit tests run.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use bytes::{Buf, BufMut, Bytes, BytesMut};
+    use sskel_graph::Round;
+
+    use crate::algorithm::{Received, Recoverable, RoundAlgorithm, Value};
+    use crate::wire::{read_uvarint, write_uvarint, WireError};
+
+    /// Floods the minimum seen value and decides after `horizon` rounds;
+    /// snapshots every third round.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) struct MinFlood {
+        x: Value,
+        horizon: Round,
+        decision: Option<Value>,
+    }
+
+    /// `n` processes with inputs `10·n, 10·(n − 1), …, 10`, deciding at
+    /// round `horizon`.
+    pub(crate) fn spawn(n: usize, horizon: Round) -> Vec<MinFlood> {
+        (0..n)
+            .map(|i| MinFlood {
+                x: (n - i) as Value * 10,
+                horizon,
+                decision: None,
+            })
+            .collect()
+    }
+
+    impl RoundAlgorithm for MinFlood {
+        type Msg = Value;
+        fn send(&self, _r: Round) -> Value {
+            self.x
+        }
+        fn receive(&mut self, r: Round, received: &Received<Value>) {
+            for (_, &v) in received.iter() {
+                self.x = self.x.min(v);
+            }
+            if r >= self.horizon {
+                self.decision.get_or_insert(self.x);
+            }
+        }
+        fn decision(&self) -> Option<Value> {
+            self.decision
+        }
+    }
+
+    impl Recoverable for MinFlood {
+        fn snapshot(&self) -> Bytes {
+            let mut buf = BytesMut::new();
+            write_uvarint(&mut buf, self.x);
+            write_uvarint(&mut buf, u64::from(self.horizon));
+            match self.decision {
+                None => buf.put_u8(0),
+                Some(v) => {
+                    buf.put_u8(1);
+                    write_uvarint(&mut buf, v);
+                }
+            }
+            buf.freeze()
+        }
+
+        fn restore(bytes: &[u8]) -> Result<Self, WireError> {
+            let mut rd = bytes;
+            let x = read_uvarint(&mut rd)?;
+            let horizon = read_uvarint(&mut rd)? as Round;
+            if !rd.has_remaining() {
+                return Err(WireError::UnexpectedEnd);
+            }
+            let decision = match rd.get_u8() {
+                0 => None,
+                1 => Some(read_uvarint(&mut rd)?),
+                _ => return Err(WireError::InvalidValue("unknown decision flag")),
+            };
+            if rd.has_remaining() {
+                return Err(WireError::InvalidValue("trailing bytes in snapshot"));
+            }
+            Ok(MinFlood {
+                x,
+                horizon,
+                decision,
+            })
+        }
+
+        fn snapshot_due(&self, r: Round) -> bool {
+            r.is_multiple_of(3)
         }
     }
 }

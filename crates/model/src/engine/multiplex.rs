@@ -60,10 +60,10 @@ use bytes::Bytes;
 use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::RunUntil;
+use crate::engine::sharded::split_ranges;
+use crate::engine::{settle, RunUntil};
 use crate::fault::{
-    BatchBuilder, BatchReader, CodecTransport, DecodeCache, Delivery, FaultCause, FaultPlane,
-    FaultStats, Transport,
+    BatchBuilder, BatchReader, CodecTransport, DecodeCache, FaultPlane, FaultStats, Transport,
 };
 use crate::schedule::Schedule;
 use crate::sync::ParkingBarrier;
@@ -163,23 +163,6 @@ struct MuxShardOutcome<A> {
     faults: Vec<FaultStats>,
     anomalies: Vec<Vec<String>>,
     rounds: Vec<Round>,
-}
-
-/// Splits a universe of `n` processes into exactly `shards` contiguous
-/// ranges whose lengths differ by at most one — unlike
-/// [`super::ShardPlan::ranges`] this does **not** clamp, so trailing
-/// ranges may be empty (every worker participates in every instance).
-fn split_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let base = n / shards;
-    let extra = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        out.push(lo..lo + len);
-        lo += len;
-    }
-    out
 }
 
 /// Runs `M` instances concurrently on `plan.shards` worker threads, every
@@ -433,15 +416,10 @@ where
             for (idx, alg) in algs[i].iter().enumerate() {
                 let p = ProcessId::from_usize(range.start + idx);
                 let msg = Arc::new(alg.send(r));
-                let sz = msg.wire_bytes() as u64;
                 let frame = transport.pack(&msg);
                 let receivers = buf.g.out_neighbors(p);
                 let cnt = transport.delivered_count(r, p, receivers);
-                let st = &mut out.stats[i];
-                st.broadcasts += 1;
-                st.broadcast_bytes += sz;
-                st.deliveries += cnt;
-                st.delivered_bytes += sz * cnt;
+                out.stats[i].add_broadcast(msg.wire_bytes() as u64, cnt);
                 for v in receivers.iter() {
                     let s = meta.shard_of[v.index()];
                     if s == me {
@@ -477,17 +455,10 @@ where
                 let meta = &metas[i];
                 let r = tick - meta.admit_at + 1;
                 let frame = payload.slice(bf.offset..bf.offset + bf.frame.len());
-                match transport.unpack_cached(r, bf.from, bf.to, frame, &mut cache) {
-                    Delivery::Deliver(msg) => {
-                        let buf = buffers[i].as_mut().expect("frame for inactive instance");
-                        buf.rcvs[bf.to.index() - meta.ranges[me].start].insert(bf.from, msg);
-                    }
-                    Delivery::Dropped => {
-                        out.faults[i].record(r, bf.from, bf.to, FaultCause::Dropped);
-                    }
-                    Delivery::Quarantined(e) => {
-                        out.faults[i].record(r, bf.from, bf.to, FaultCause::Quarantined(e));
-                    }
+                let d = transport.unpack_cached(r, bf.from, bf.to, frame, &mut cache);
+                if let Some(msg) = settle(d, r, bf.from, bf.to, &mut out.faults[i]) {
+                    let buf = buffers[i].as_mut().expect("frame for inactive instance");
+                    buf.rcvs[bf.to.index() - meta.ranges[me].start].insert(bf.from, msg);
                 }
             }
         }
@@ -502,14 +473,9 @@ where
             let range = &meta.ranges[me];
             let buf = buffers[i].as_mut().expect("active instance has buffers");
             for (p, v, frame) in buf.stash.drain(..) {
-                match transport.unpack_cached(r, p, v, frame, &mut cache) {
-                    Delivery::Deliver(msg) => {
-                        buf.rcvs[v.index() - range.start].insert(p, msg);
-                    }
-                    Delivery::Dropped => out.faults[i].record(r, p, v, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        out.faults[i].record(r, p, v, FaultCause::Quarantined(e));
-                    }
+                let d = transport.unpack_cached(r, p, v, frame, &mut cache);
+                if let Some(msg) = settle(d, r, p, v, &mut out.faults[i]) {
+                    buf.rcvs[v.index() - range.start].insert(p, msg);
                 }
             }
             for (idx, alg) in algs[i].iter_mut().enumerate() {
@@ -566,44 +532,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::fixture::{spawn, MinFlood};
     use crate::engine::sharded::{run_sharded_codec, ShardPlan};
     use crate::fault::NoFaults;
     use crate::schedule::FixedSchedule;
-
-    /// Same toy algorithm as the sharded engine tests.
-    struct MinFlood {
-        x: Value,
-        horizon: Round,
-        decision: Option<Value>,
-    }
-
-    impl RoundAlgorithm for MinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
-        }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
-                self.x = self.x.min(v);
-            }
-            if r >= self.horizon {
-                self.decision.get_or_insert(self.x);
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            self.decision
-        }
-    }
-
-    fn spawn(n: usize, horizon: Round) -> Vec<MinFlood> {
-        (0..n)
-            .map(|i| MinFlood {
-                x: (n - i) as Value * 10,
-                horizon,
-                decision: None,
-            })
-            .collect()
-    }
 
     fn assert_matches_solo(mux: &RunTrace, solo: &RunTrace, ctx: &str) {
         assert_eq!(mux.decisions, solo.decisions, "{ctx}: decisions");

@@ -34,8 +34,9 @@ use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::adversary::CrashRestartOverlay;
 use crate::algorithm::{Received, Recoverable};
-use crate::engine::RunUntil;
-use crate::fault::{CodecTransport, Delivery, FaultCause, FaultPlane, Transport};
+use crate::engine::lockstep::run_transport;
+use crate::engine::{settle, RunUntil};
+use crate::fault::{CodecTransport, Delivery, FaultPlane, Transport};
 use crate::journal::{
     scan, JournalHeader, JournalWriter, ResumeError, RoundRecord, RunMeta, SnapshotRecord,
     ENGINE_LOCKSTEP_JOURNALED, JOURNAL_VERSION,
@@ -143,17 +144,13 @@ where
                 continue;
             };
             let msg = Arc::new(alg.send(r));
-            let sz = msg.wire_bytes() as u64;
             let cnt = <CodecTransport<&P> as Transport<A::Msg>>::delivered_count(
                 &transport,
                 r,
                 pid,
                 g.out_neighbors(pid),
             );
-            trace.msg_stats.broadcasts += 1;
-            trace.msg_stats.broadcast_bytes += sz;
-            trace.msg_stats.deliveries += cnt;
-            trace.msg_stats.delivered_bytes += sz * cnt;
+            trace.msg_stats.add_broadcast(msg.wire_bytes() as u64, cnt);
             frames[p] = Some(transport.pack(&msg));
         }
 
@@ -172,16 +169,11 @@ where
                 let frame = frames[q.index()]
                     .clone()
                     .expect("a live process has only live in-neighbors");
-                match transport.unpack(r, q, pid, frame.clone()) {
-                    Delivery::Deliver(m) => {
-                        rcv.insert(q, m);
-                        if wants_log {
-                            logged.push((q, frame));
-                        }
-                    }
-                    Delivery::Dropped => trace.faults.record(r, q, pid, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        trace.faults.record(r, q, pid, FaultCause::Quarantined(e));
+                let d = transport.unpack(r, q, pid, frame.clone());
+                if let Some(m) = settle(d, r, q, pid, &mut trace.faults) {
+                    rcv.insert(q, m);
+                    if wants_log {
+                        logged.push((q, frame));
                     }
                 }
             }
@@ -286,11 +278,7 @@ where
             // delivery always survives — account it exactly as the main
             // loop would have.
             let msg = Arc::new(alg.send(r));
-            let sz = msg.wire_bytes() as u64;
-            trace.msg_stats.broadcasts += 1;
-            trace.msg_stats.broadcast_bytes += sz;
-            trace.msg_stats.deliveries += 1;
-            trace.msg_stats.delivered_bytes += sz;
+            trace.msg_stats.add_broadcast(msg.wire_bytes() as u64, 1);
             match transport.unpack(r, p, p, transport.pack(&msg)) {
                 Delivery::Deliver(m) => rcv.insert(p, m),
                 // lint: allow(panic) — loopback frames are never tampered
@@ -329,7 +317,7 @@ where
 /// Panics if `algs.len() != schedule.n()`.
 pub fn run_lockstep_journaled<S, A, P, W>(
     schedule: &S,
-    mut algs: Vec<A>,
+    algs: Vec<A>,
     until: RunUntil,
     plane: &P,
     meta: &RunMeta,
@@ -356,120 +344,50 @@ where
         rebase_limit: meta.rebase_limit,
     };
     let mut writer = JournalWriter::create(sink, &header)?;
-    let mut trace = RunTrace::new(n);
-    writer.append_snapshot(&SnapshotRecord {
-        round: 0,
+    let trace = RunTrace::new(n);
+    writer.append_snapshot(&snapshot_record(0, &trace, &algs))?;
+    run_transport(
+        schedule,
+        algs,
+        until,
+        &CodecTransport::new(plane),
+        FIRST_ROUND,
+        trace,
+        |r, frames, algs, trace| journal_round(&mut writer, r, frames, algs, trace),
+    )
+}
+
+/// The journaling end-of-round hook: appends round `r`'s sealed frames
+/// (the round is replayable from then on), then a snapshot record if
+/// every algorithm reports `snapshot_due`.
+fn journal_round<A, W>(
+    writer: &mut JournalWriter<W>,
+    r: Round,
+    frames: &[Bytes],
+    algs: &[A],
+    trace: &RunTrace,
+) -> std::io::Result<()>
+where
+    A: Recoverable,
+    W: std::io::Write,
+{
+    writer.append_round(&RoundRecord {
+        round: r,
+        frames: frames.to_vec(),
+    })?;
+    if algs.iter().all(|a| a.snapshot_due(r)) {
+        writer.append_snapshot(&snapshot_record(r, trace, algs))?;
+    }
+    Ok(())
+}
+
+/// The cut-`r` snapshot record of a run in progress.
+fn snapshot_record<A: Recoverable>(r: Round, trace: &RunTrace, algs: &[A]) -> SnapshotRecord {
+    SnapshotRecord {
+        round: r,
         decisions: trace.decisions.clone(),
         anomalies: trace.anomalies.clone(),
         snaps: algs.iter().map(Recoverable::snapshot).collect(),
-    })?;
-    let transport = CodecTransport::new(plane);
-    run_journaled_rounds(
-        schedule,
-        &mut algs,
-        until,
-        &transport,
-        &mut writer,
-        &mut trace,
-        FIRST_ROUND,
-    )?;
-    trace.faults.finalize();
-    Ok((trace, algs))
-}
-
-/// The live round loop shared by [`run_lockstep_journaled`] (from
-/// round 1) and [`resume_from_journal`] (from the first unjournaled
-/// round).
-/// Mirrors the accounting of the plain lockstep engine body exactly, with
-/// one addition: right after packing, the round's frames are appended to
-/// the journal (a durability point — the round is replayable from then
-/// on), and a snapshot record follows any round where every algorithm
-/// reports `snapshot_due`.
-fn run_journaled_rounds<S, A, T, W>(
-    schedule: &S,
-    algs: &mut [A],
-    until: RunUntil,
-    transport: &T,
-    writer: &mut JournalWriter<W>,
-    trace: &mut RunTrace,
-    start: Round,
-) -> std::io::Result<()>
-where
-    S: Schedule + ?Sized,
-    A: Recoverable,
-    A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
-    W: std::io::Write,
-{
-    let n = algs.len();
-    let mut g = Digraph::empty(n);
-    let mut msgs: Vec<Arc<A::Msg>> = Vec::with_capacity(n);
-    let mut frames: Vec<Bytes> = Vec::with_capacity(n);
-    let mut rcv: Received<A::Msg> = Received::new(n);
-    let mut receivers: Vec<u64> = vec![0; n];
-
-    let mut r: Round = start;
-    loop {
-        schedule.graph_into(r, &mut g);
-        debug_assert_eq!(g.n(), n, "schedule emitted graph over wrong universe");
-
-        msgs.clear();
-        msgs.extend(algs.iter().map(|a| Arc::new(a.send(r))));
-        frames.clear();
-        frames.extend(msgs.iter().map(|m| transport.pack(m)));
-        writer.append_round(&RoundRecord {
-            round: r,
-            frames: frames.clone(),
-        })?;
-
-        for (p, deg) in receivers.iter_mut().enumerate() {
-            let me = ProcessId::from_usize(p);
-            *deg = transport.delivered_count(r, me, g.out_neighbors(me));
-        }
-        for (m, &recv_count) in msgs.iter().zip(&receivers) {
-            let sz = m.wire_bytes() as u64;
-            trace.msg_stats.broadcasts += 1;
-            trace.msg_stats.broadcast_bytes += sz;
-            trace.msg_stats.deliveries += recv_count;
-            trace.msg_stats.delivered_bytes += sz * recv_count;
-        }
-
-        for (p, alg) in algs.iter_mut().enumerate() {
-            let me = ProcessId::from_usize(p);
-            rcv.clear();
-            for q in g.in_neighbors(me).iter() {
-                match transport.unpack(r, q, me, frames[q.index()].clone()) {
-                    Delivery::Deliver(m) => rcv.insert(q, m),
-                    Delivery::Dropped => trace.faults.record(r, q, me, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        trace.faults.record(r, q, me, FaultCause::Quarantined(e));
-                    }
-                }
-            }
-            alg.receive(r, &rcv);
-        }
-        rcv.clear();
-
-        for (p, alg) in algs.iter().enumerate() {
-            if let Some(v) = alg.decision() {
-                trace.record_decision(ProcessId::from_usize(p), r, v);
-            }
-        }
-
-        trace.rounds_executed = r;
-        if algs.iter().all(|a| a.snapshot_due(r)) {
-            writer.append_snapshot(&SnapshotRecord {
-                round: r,
-                decisions: trace.decisions.clone(),
-                anomalies: trace.anomalies.clone(),
-                snaps: algs.iter().map(Recoverable::snapshot).collect(),
-            })?;
-        }
-
-        if until.should_stop(r, trace.all_decided()) {
-            return Ok(());
-        }
-        r += 1;
     }
 }
 
@@ -534,7 +452,6 @@ where
     let transport = CodecTransport::new(plane);
     let mut g = Digraph::empty(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
-    let mut stopped = false;
     for rec in &scanned.rounds {
         let r = rec.round;
         schedule.graph_into(r, &mut g);
@@ -544,17 +461,13 @@ where
             // frames don't hold a valid message.
             let m: A::Msg = crate::fault::open(frame.as_slice())?;
             let me = ProcessId::from_usize(p);
-            let sz = m.wire_bytes() as u64;
             let cnt = <CodecTransport<&P> as Transport<A::Msg>>::delivered_count(
                 &transport,
                 r,
                 me,
                 g.out_neighbors(me),
             );
-            trace.msg_stats.broadcasts += 1;
-            trace.msg_stats.broadcast_bytes += sz;
-            trace.msg_stats.deliveries += cnt;
-            trace.msg_stats.delivered_bytes += sz * cnt;
+            trace.msg_stats.add_broadcast(m.wire_bytes() as u64, cnt);
         }
         for (p, alg) in algs.iter_mut().enumerate() {
             let me = ProcessId::from_usize(p);
@@ -564,15 +477,10 @@ where
                     .frames
                     .get(q.index())
                     .ok_or(WireError::InvalidValue("round record universe mismatch"))?;
-                match transport.unpack(r, q, me, frame.clone()) {
-                    Delivery::Deliver(m) => {
-                        if r > cut {
-                            rcv.insert(q, m);
-                        }
-                    }
-                    Delivery::Dropped => trace.faults.record(r, q, me, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        trace.faults.record(r, q, me, FaultCause::Quarantined(e));
+                let d = transport.unpack(r, q, me, frame.clone());
+                if let Some(m) = settle(d, r, q, me, &mut trace.faults) {
+                    if r > cut {
+                        rcv.insert(q, m);
                     }
                 }
             }
@@ -593,120 +501,36 @@ where
         // the journal would end there — so replaying its verdict can only
         // reproduce the original stop, never invent an earlier one.
         if until.should_stop(r, trace.all_decided()) {
-            stopped = true;
-            break;
+            trace.faults.finalize();
+            return Ok((trace, algs));
         }
     }
 
-    if !stopped {
-        let next = scanned
-            .rounds
-            .last()
-            .map_or(FIRST_ROUND, |rec| rec.round + 1);
-        let mut writer = JournalWriter::resume(sink);
-        run_journaled_rounds(
-            schedule,
-            &mut algs,
-            until,
-            &transport,
-            &mut writer,
-            &mut trace,
-            next,
-        )?;
-    }
-    trace.faults.finalize();
-    Ok((trace, algs))
+    // Continue live from the first unjournaled round.
+    let next = scanned
+        .rounds
+        .last()
+        .map_or(FIRST_ROUND, |rec| rec.round + 1);
+    let mut writer = JournalWriter::resume(sink);
+    run_transport(
+        schedule,
+        algs,
+        until,
+        &transport,
+        next,
+        trace,
+        |r, frames, algs, trace| journal_round(&mut writer, r, frames, algs, trace),
+    )
+    .map_err(ResumeError::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{RoundAlgorithm, Value};
+    use crate::engine::fixture::{spawn, MinFlood};
     use crate::engine::lockstep::run_lockstep_codec;
     use crate::fault::{CorruptionOverlay, NoFaults};
     use crate::schedule::FixedSchedule;
-    use crate::wire::WireError;
-    use bytes::{Buf, BufMut, BytesMut};
-
-    /// MinFlood with a snapshot format, for exercising the drill without
-    /// Algorithm 1: floods the minimum seen value, decides at `horizon`,
-    /// snapshots every third round.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    struct RecMinFlood {
-        x: Value,
-        horizon: Round,
-        decision: Option<Value>,
-    }
-
-    impl RoundAlgorithm for RecMinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
-        }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
-                self.x = self.x.min(v);
-            }
-            if r >= self.horizon {
-                self.decision.get_or_insert(self.x);
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            self.decision
-        }
-    }
-
-    impl Recoverable for RecMinFlood {
-        fn snapshot(&self) -> Bytes {
-            let mut buf = BytesMut::new();
-            crate::wire::write_uvarint(&mut buf, self.x);
-            crate::wire::write_uvarint(&mut buf, u64::from(self.horizon));
-            match self.decision {
-                None => buf.put_u8(0),
-                Some(v) => {
-                    buf.put_u8(1);
-                    crate::wire::write_uvarint(&mut buf, v);
-                }
-            }
-            buf.freeze()
-        }
-
-        fn restore(bytes: &[u8]) -> Result<Self, WireError> {
-            let mut rd = bytes;
-            let x = crate::wire::read_uvarint(&mut rd)?;
-            let horizon = crate::wire::read_uvarint(&mut rd)? as Round;
-            if !rd.has_remaining() {
-                return Err(WireError::UnexpectedEnd);
-            }
-            let decision = match rd.get_u8() {
-                0 => None,
-                1 => Some(crate::wire::read_uvarint(&mut rd)?),
-                _ => return Err(WireError::InvalidValue("unknown decision flag")),
-            };
-            if rd.has_remaining() {
-                return Err(WireError::InvalidValue("trailing bytes in snapshot"));
-            }
-            Ok(RecMinFlood {
-                x,
-                horizon,
-                decision,
-            })
-        }
-
-        fn snapshot_due(&self, r: Round) -> bool {
-            r.is_multiple_of(3)
-        }
-    }
-
-    fn spawn(n: usize, horizon: Round) -> Vec<RecMinFlood> {
-        (0..n)
-            .map(|i| RecMinFlood {
-                x: (n - i) as Value * 10,
-                horizon,
-                decision: None,
-            })
-            .collect()
-    }
 
     fn assert_traces_identical(a: &RunTrace, b: &RunTrace) {
         if let Some(d) = crate::journal::diff_run_traces(a, b) {
@@ -777,7 +601,7 @@ mod tests {
             assert!(!scanned.truncated);
             assert_eq!(scanned.header.seed, 0xabcd);
             assert_eq!(scanned.rounds.len() as Round, t1.rounds_executed);
-            // RecMinFlood snapshots every third round, plus the initial cut
+            // MinFlood snapshots every third round, plus the initial cut
             assert_eq!(
                 scanned
                     .snapshots
@@ -805,7 +629,7 @@ mod tests {
             let mut store = journal[..cut].to_vec();
             let prefix = store.clone();
             let res =
-                resume_from_journal::<_, RecMinFlood, _, _>(&s, &prefix, until, &plane, &mut store);
+                resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &plane, &mut store);
             if cut < first_snapshot_end {
                 assert!(
                     matches!(res, Err(ResumeError::Wire(_))),
@@ -835,14 +659,9 @@ mod tests {
                 .unwrap();
         let before = journal.len();
         let prefix = journal.clone();
-        let (t2, a2) = resume_from_journal::<_, RecMinFlood, _, _>(
-            &s,
-            &prefix,
-            until,
-            &NoFaults,
-            &mut journal,
-        )
-        .unwrap();
+        let (t2, a2) =
+            resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &NoFaults, &mut journal)
+                .unwrap();
         assert_traces_identical(&t1, &t2);
         assert_eq!(a1, a2);
         assert_eq!(journal.len(), before, "pure replay appends nothing");
@@ -865,7 +684,7 @@ mod tests {
         let first = full.record_ends[4] + 3;
         let prefix = journal[..first].to_vec();
         let mut store = prefix[..scan(&prefix).unwrap().durable_len].to_vec();
-        let _ = resume_from_journal::<_, RecMinFlood, _, _>(&s, &prefix, until, &plane, &mut store)
+        let _ = resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &plane, &mut store)
             .unwrap();
         // second kill: strip the freshly appended tail mid-record again
         let store2_scan = scan(&store).unwrap();
@@ -873,7 +692,7 @@ mod tests {
         let prefix2 = store[..second].to_vec();
         let mut store2 = prefix2[..scan(&prefix2).unwrap().durable_len].to_vec();
         let (t, a) =
-            resume_from_journal::<_, RecMinFlood, _, _>(&s, &prefix2, until, &plane, &mut store2)
+            resume_from_journal::<_, MinFlood, _, _>(&s, &prefix2, until, &plane, &mut store2)
                 .unwrap();
         assert_traces_identical(&oracle_t, &t);
         assert_eq!(oracle_a, a);
@@ -888,7 +707,7 @@ mod tests {
             .unwrap();
         // universe mismatch vs the resuming schedule
         let wrong = FixedSchedule::synchronous(4);
-        let res = resume_from_journal::<_, RecMinFlood, _, _>(
+        let res = resume_from_journal::<_, MinFlood, _, _>(
             &wrong,
             &journal,
             until,

@@ -1,16 +1,13 @@
 //! Sharded round engine: `k` processes per OS thread, one inbox per shard.
 //!
-//! The one-thread-per-process design of [`super::threaded`] measures real
-//! message passing faithfully, but it pays for realism with OS threads: at
-//! `n = 256` on a small machine, every simulated round is hundreds of
-//! context switches. Algorithm 1 is a *full-information, anonymous-code*
-//! protocol — every process runs the same per-round estimator — so nothing
-//! about the model requires the `n` processes to be `n` schedulable
-//! entities. This engine assigns each worker thread a **contiguous shard**
-//! of processes and drives all of them through the round structure
-//! sequentially inside the thread, recovering lockstep-like efficiency
-//! per shard while keeping real inter-thread message passing between
-//! shards:
+//! Algorithm 1 is a *full-information, anonymous-code* protocol — every
+//! process runs the same per-round estimator — so nothing about the model
+//! requires the `n` processes to be `n` schedulable entities. This engine
+//! assigns each worker thread a **contiguous shard** of processes and
+//! drives all of them through the round structure sequentially inside the
+//! thread, recovering lockstep-like efficiency per shard while keeping
+//! real inter-thread message passing between shards (`ShardPlan::new(n)`
+//! is the one-thread-per-process extreme):
 //!
 //! * **one inbox per shard, not per process** — inter-shard messages travel
 //!   through a single MPSC channel per shard, tagged
@@ -19,20 +16,28 @@
 //! * **intra-shard delivery never touches a channel** — a message between
 //!   two processes of the same shard is an `Arc` clone written directly
 //!   into the recipient's delivery buffer by the owning thread;
-//! * **round closing** mirrors the threaded engine, per shard instead of
-//!   per process:
+//! * **round closing**, per shard:
 //!   * under [`RunUntil::AllDecided`] every shard broadcasts its round
 //!     `r + 1` messages *speculatively before arriving* at a single
 //!     [`ParkingBarrier`] phase whose leader evaluates the stop condition
-//!     ([`ParkingBarrier::wait_eval`]); the speculative broadcast is rolled
-//!     back from the byte accounting when the verdict stops the run;
+//!     ([`ParkingBarrier::wait_eval`]). The barrier release finds the
+//!     entire next round already queued, so the receive phase never
+//!     blocks and the barrier is the round's only park. The speculative
+//!     broadcast is rolled back from the byte accounting when the verdict
+//!     stops the run; it may query `Schedule::graph_into` and the (pure)
+//!     sending function one round past the stop, which the `Schedule`
+//!     contract allows;
 //!   * under a **fixed horizon** ([`RunUntil::Rounds`]) there is no global
 //!     stop condition to agree on, and a [`WindowedBarrier`] closes only
 //!     every `K`-th round: threads free-run inside a window, and the
 //!     boundary bounds inter-shard round skew to `K − 1` — and with it the
-//!     per-edge channel backlog to `K` payloads, closing the
-//!     unbounded-backlog caveat of the threaded engine's barrier-free mode
-//!     (see `docs/CONCURRENCY.md` for the argument).
+//!     per-edge channel backlog to `K` payloads (see `docs/CONCURRENCY.md`
+//!     for the argument).
+//!
+//! The shard round loop (`run_shards`) is generic over a crate-private
+//! `Link` — the only thing that differs between this engine and the
+//! socket engine, which runs the same loop over TCP streams and abortable
+//! barriers.
 //!
 //! Like the other engines, the trace and the final algorithm states are
 //! **bit-identical** to [`super::lockstep`] for the same schedule and
@@ -42,6 +47,8 @@
 //! nondeterminism.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -49,10 +56,8 @@ use std::sync::Arc;
 use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::RunUntil;
-use crate::fault::{
-    ArcTransport, CodecTransport, Delivery, FaultCause, FaultPlane, FaultStats, Transport,
-};
+use crate::engine::{settle, RunUntil};
+use crate::fault::{ArcTransport, CodecTransport, Delivery, FaultPlane, FaultStats, Transport};
 use crate::schedule::Schedule;
 use crate::sync::{ParkingBarrier, WindowedBarrier};
 use crate::trace::{MsgStats, RunTrace};
@@ -112,25 +117,97 @@ impl ShardPlan {
     /// `n`: `shards` ranges (after clamping to `n`) whose lengths differ by
     /// at most one. Shared with the socket engine, which partitions the
     /// universe identically.
-    pub(crate) fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        let shards = self.shards.min(n).max(1);
-        let base = n / shards;
-        let extra = n % shards;
-        let mut out = Vec::with_capacity(shards);
-        let mut lo = 0;
-        for s in 0..shards {
-            let len = base + usize::from(s < extra);
-            out.push(lo..lo + len);
-            lo += len;
-        }
-        out
+    pub(crate) fn ranges(&self, n: usize) -> Vec<Range<usize>> {
+        split_ranges(n, self.shards.min(n).max(1))
     }
+}
+
+/// Splits a universe of `n` processes into exactly `shards` contiguous
+/// ranges whose lengths differ by at most one. Does **not** clamp, so
+/// trailing ranges may be empty — the multiplex engine relies on that to
+/// keep every worker in every instance.
+pub(crate) fn split_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
+    let base = n / shards;
+    let extra = n % shards;
+    let mut out = Vec::with_capacity(shards);
+    let mut lo = 0;
+    for s in 0..shards {
+        let len = base + usize::from(s < extra);
+        out.push(lo..lo + len);
+        lo += len;
+    }
+    out
 }
 
 /// An inter-shard packet: `(round, sender, recipient, frame)`. The frame
 /// stays packed (an `Arc` in classic mode, encoded bytes in codec mode)
 /// until the recipient's round is processed.
-type Packet<F> = (Round, ProcessId, ProcessId, F);
+pub(crate) type Packet<F> = (Round, ProcessId, ProcessId, F);
+
+/// How one shard worker reaches the others: where its inter-shard packets
+/// go, where they come from, and how a round closes. The in-process link
+/// ([`ChannelLink`]) cannot fail; the socket engine's link returns typed
+/// errors, and has already aborted the peer shards by the time it does.
+pub(crate) trait Link<F>: Send {
+    /// Why the link failed.
+    type Error: Send;
+
+    /// Ships `packet` to shard `to`.
+    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Self::Error>;
+
+    /// Blocks for the next packet another shard sent this one while this
+    /// shard assembles round `r` (the packet may belong to a later round).
+    fn recv(&mut self, r: Round) -> Result<Packet<F>, Self::Error>;
+
+    /// Ends round `r` of a fixed-horizon run: a barrier phase when `r`
+    /// closes a skew window, free otherwise.
+    fn round_end(&mut self, r: Round) -> Result<(), Self::Error>;
+
+    /// Closes a round of an all-decided run with one barrier phase whose
+    /// last arriver evaluates `stop`; every shard returns its verdict.
+    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Self::Error>;
+
+    /// Whether `e` only echoes another shard's failure. A failed run
+    /// reports the lowest-indexed shard's error that is not an echo.
+    fn is_echo(e: &Self::Error) -> bool;
+}
+
+/// The in-process link: one mpsc inbox per shard, a [`ParkingBarrier`]
+/// for all-decided verdicts and a [`WindowedBarrier`] for the skew bound.
+struct ChannelLink<'a, F> {
+    inbox: Receiver<Packet<F>>,
+    outboxes: &'a [Sender<Packet<F>>],
+    barrier: &'a ParkingBarrier,
+    windowed: &'a WindowedBarrier,
+}
+
+impl<F: Send> Link<F> for ChannelLink<'_, F> {
+    type Error = Infallible;
+
+    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Infallible> {
+        self.outboxes[to]
+            .send(packet)
+            .expect("recipient shard channel closed");
+        Ok(())
+    }
+
+    fn recv(&mut self, _r: Round) -> Result<Packet<F>, Infallible> {
+        Ok(self.inbox.recv().expect("message channel closed mid-round"))
+    }
+
+    fn round_end(&mut self, r: Round) -> Result<(), Infallible> {
+        self.windowed.round_end(r);
+        Ok(())
+    }
+
+    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Infallible> {
+        Ok(self.barrier.wait_eval(stop))
+    }
+
+    fn is_echo(e: &Infallible) -> bool {
+        match *e {}
+    }
+}
 
 /// What one shard thread hands back when the run stops.
 struct ShardOutcome<A> {
@@ -145,9 +222,9 @@ struct ShardOutcome<A> {
 /// Runs `algs` against `schedule` on `plan.shards` worker threads, each
 /// owning a contiguous shard of processes.
 ///
-/// Semantically identical to [`super::run_lockstep`] and
-/// [`super::run_threaded`]; see the module docs for the synchronization
-/// protocol and `docs/CONCURRENCY.md` for how the three engines relate.
+/// Semantically identical to [`super::run_lockstep`]; see the module docs
+/// for the synchronization protocol and `docs/CONCURRENCY.md` for how the
+/// engines relate.
 ///
 /// # Panics
 /// Panics if `algs.len() != schedule.n()` or a worker thread panics.
@@ -192,7 +269,7 @@ where
 }
 
 /// The engine body, generic over the payload path (see
-/// [`crate::fault::Transport`]).
+/// [`crate::fault::Transport`]): wires up one [`ChannelLink`] per shard.
 fn run_transport<S, A, T>(
     schedule: &S,
     algs: Vec<A>,
@@ -206,16 +283,55 @@ where
     A::Msg: WireSized,
     T: Transport<A::Msg>,
 {
+    let ranges = plan.ranges(schedule.n());
+    let shards = ranges.len();
+    let barrier = ParkingBarrier::new(shards);
+    let windowed = WindowedBarrier::new(shards, plan.window);
+    let (outboxes, inboxes): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
+    let links = inboxes
+        .into_iter()
+        .map(|inbox| ChannelLink {
+            inbox,
+            outboxes: &outboxes,
+            barrier: &barrier,
+            windowed: &windowed,
+        })
+        .collect();
+    let Ok(out) = run_shards(schedule, algs, until, &ranges, links, transport);
+    out
+}
+
+/// Runs one shard worker per range of `ranges` on its own thread, the
+/// shards talking through `links` (one per shard, in shard order), and
+/// merges their outcomes into one trace.
+///
+/// # Errors
+/// The lowest-indexed shard's link error that is not an echo of another
+/// shard's failure ([`Link::is_echo`]), or else the first echo.
+///
+/// # Panics
+/// Panics if `algs.len() != schedule.n()` or a worker thread panics.
+pub(crate) fn run_shards<S, A, T, L>(
+    schedule: &S,
+    algs: Vec<A>,
+    until: RunUntil,
+    ranges: &[Range<usize>],
+    links: Vec<L>,
+    transport: &T,
+) -> Result<(RunTrace, Vec<A>), L::Error>
+where
+    S: Schedule + Sync + ?Sized,
+    A: RoundAlgorithm,
+    A::Msg: WireSized,
+    T: Transport<A::Msg>,
+    L: Link<T::Frame>,
+{
     let n = schedule.n();
     assert_eq!(
         algs.len(),
         n,
         "need exactly one algorithm instance per process"
     );
-
-    let ranges = plan.ranges(n);
-    let shards = ranges.len();
-    let mut trace = RunTrace::new(n);
 
     // Which shard owns each process — senders index this to route packets.
     let mut shard_of = vec![0usize; n];
@@ -224,57 +340,53 @@ where
             shard_of[p] = s;
         }
     }
-
-    let barrier = ParkingBarrier::new(shards);
-    let windowed = WindowedBarrier::new(shards, plan.window);
     let decided: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    let mut txs: Vec<Sender<Packet<T::Frame>>> = Vec::with_capacity(shards);
-    let mut rxs: Vec<Option<Receiver<Packet<T::Frame>>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
 
     // Hand each thread its contiguous slice of algorithm instances.
     let mut algs = algs;
-    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(shards);
+    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(ranges.len());
     for range in ranges.iter().rev() {
         shard_algs.push(algs.split_off(range.start));
     }
     shard_algs.reverse();
 
-    let mut outcomes: Vec<Option<ShardOutcome<A>>> = (0..shards).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for (s, (owned, rx)) in shard_algs.into_iter().zip(rxs.iter_mut()).enumerate() {
-            let rx = rx.take().expect("receiver taken twice");
-            let range = ranges[s].clone();
-            let txs = &txs;
-            let shard_of = &shard_of;
-            let barrier = &barrier;
-            let windowed = &windowed;
-            let decided = &decided;
-            handles.push(scope.spawn(move || {
-                run_shard(
-                    schedule, range, owned, rx, txs, shard_of, barrier, windowed, decided, until,
-                    transport,
-                )
-            }));
-        }
-        for (s, h) in handles.into_iter().enumerate() {
-            outcomes[s] = Some(h.join().expect("shard thread panicked"));
-        }
+    let outcomes: Vec<Result<ShardOutcome<A>, L::Error>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_algs
+            .into_iter()
+            .zip(links)
+            .zip(ranges)
+            .map(|((owned, link), range)| {
+                let range = range.clone();
+                let shard_of = &shard_of;
+                let decided = &decided;
+                scope.spawn(move || {
+                    run_shard(
+                        schedule, range, owned, link, shard_of, decided, until, transport,
+                    )
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread panicked"))
+            .collect()
     });
 
+    let mut trace = RunTrace::new(n);
     let mut algs_back = Vec::with_capacity(n);
-    for (s, outcome) in outcomes.into_iter().enumerate() {
-        let o = outcome.expect("missing shard outcome");
+    let mut echo = None;
+    for (range, outcome) in ranges.iter().zip(outcomes) {
+        let o = match outcome {
+            Ok(o) => o,
+            Err(e) if L::is_echo(&e) => {
+                echo.get_or_insert(e);
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
         for (i, first) in o.first_decisions.iter().enumerate() {
             if let Some((round, value)) = first {
-                trace.record_decision(ProcessId::from_usize(ranges[s].start + i), *round, *value);
+                trace.record_decision(ProcessId::from_usize(range.start + i), *round, *value);
             }
         }
         trace.msg_stats += &o.stats;
@@ -283,35 +395,35 @@ where
         trace.rounds_executed = trace.rounds_executed.max(o.rounds_executed);
         algs_back.extend(o.algs);
     }
+    if let Some(e) = echo {
+        return Err(e);
+    }
     trace.faults.finalize();
-    (trace, algs_back)
+    Ok((trace, algs_back))
 }
 
 /// The per-thread round loop over one contiguous shard of processes.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<S, A, T>(
+fn run_shard<S, A, T, L>(
     schedule: &S,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     mut algs: Vec<A>,
-    rx: Receiver<Packet<T::Frame>>,
-    txs: &[Sender<Packet<T::Frame>>],
+    mut link: L,
     shard_of: &[usize],
-    barrier: &ParkingBarrier,
-    windowed: &WindowedBarrier,
     decided: &[AtomicBool],
     until: RunUntil,
     transport: &T,
-) -> ShardOutcome<A>
+) -> Result<ShardOutcome<A>, L::Error>
 where
     S: Schedule + Sync + ?Sized,
     A: RoundAlgorithm,
     A::Msg: WireSized,
     T: Transport<A::Msg>,
+    L: Link<T::Frame>,
 {
     let n = schedule.n();
     let me = shard_of[range.start];
     let k = range.len();
-    let static_horizon = until.static_horizon();
     let mut stats = MsgStats::default();
     let mut faults = FaultStats::new();
     let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
@@ -325,60 +437,45 @@ where
     // Round-loop buffers, reused across rounds: the communication graph and
     // one delivery vector per resident process. With a non-deferring
     // transport, intra-shard messages are written into `rcvs` directly at
-    // broadcast time; only packets from other shards flow through `rx`.
+    // broadcast time; only packets from other shards flow through the link.
     let mut g = Digraph::empty(n);
     let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
     let mut r: Round = FIRST_ROUND;
 
     // 1. Send along the out-edges of G^r (round 1 here; later rounds
     //    broadcast at the close of the previous round, see step 4).
-    broadcast(
-        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, txs, shard_of, &mut stats,
-        transport,
-    );
+    stats += &broadcast(
+        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, &mut link, shard_of, transport,
+    )?;
 
     loop {
         // 2. Receive one frame per in-edge of G^r. With a non-deferring
         // transport, intra-shard messages are already in `rcvs`; count what
-        // must still arrive (via the stash or the channel) and drain until
-        // every resident process is complete. A frame the plane destroys
-        // still *arrives* — it is unpacked to a fault record instead of a
-        // delivery — so the count is exact either way.
+        // must still arrive (via the stash or the link) and drain — the
+        // stash first — until every resident process is complete. A frame
+        // the plane destroys still *arrives* — it is unpacked to a fault
+        // record instead of a delivery — so the count is exact either way.
         let mut remaining = 0usize;
         for p in range.clone() {
             for q in g.in_neighbors(ProcessId::from_usize(p)).iter() {
                 remaining += usize::from(T::DEFERS_LOCAL || shard_of[q.index()] != me);
             }
         }
-        // First consume stashed packets that belong to this round.
-        let stashed = std::mem::take(&mut stash);
-        for (pr, q, to, f) in stashed {
-            if pr == r {
-                match transport.unpack(r, q, to, f) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
-                }
-                remaining -= 1;
-            } else {
-                stash.push_back((pr, q, to, f));
-            }
-        }
-        while remaining > 0 {
-            let (pr, q, to, f) = rx.recv().expect("message channel closed mid-round");
+        let mut stashed = std::mem::take(&mut stash);
+        loop {
+            let (pr, q, to, f) = match stashed.pop_front() {
+                Some(packet) => packet,
+                None if remaining > 0 => link.recv(r)?,
+                None => break,
+            };
             if pr == r {
                 debug_assert!(
                     g.in_neighbors(to).contains(q),
                     "unexpected sender {q} for {to} in round {r}"
                 );
-                match transport.unpack(r, q, to, f) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
+                let d = transport.unpack(r, q, to, f);
+                if let Some(m) = settle(d, r, q, to, &mut faults) {
+                    rcvs[to.index() - range.start].insert(q, m);
                 }
                 remaining -= 1;
             } else {
@@ -399,6 +496,9 @@ where
                 match first_decisions[i] {
                     None => {
                         first_decisions[i] = Some((r, v));
+                        // ordering: Release before this round's closing
+                        // barrier — pairs with the Acquire sweep in the
+                        // leader's stop verdict below.
                         decided[p.index()].store(true, Ordering::Release);
                     }
                     Some((r0, v0)) if v0 != v => anomalies.push(format!(
@@ -410,7 +510,7 @@ where
         }
 
         // 4. Close the round.
-        let stop = match static_horizon {
+        let stop = match until.static_horizon() {
             // Fixed horizon: every shard stops at the same round without
             // coordination; the windowed barrier only bounds skew (and so
             // channel backlog) to the plan's window length.
@@ -426,9 +526,9 @@ where
             // * a shard at round `r` has already broadcast every round
             //   `≤ r` (round `r + 1` is sent *before* this window check),
             //   so any packet a slower shard can block on in step 2 is in
-            //   its channel before the faster shard could possibly park —
-            //   and the exiting shard's `Sender`s stay alive in the main
-            //   thread's scope, keeping queued packets deliverable after
+            //   its inbox before the faster shard could possibly park —
+            //   and an exiting shard's outbound side stays alive in the
+            //   caller's scope, keeping queued packets deliverable after
             //   it returns.
             //
             // `tests/engines_equiv.rs` pins the resulting traces against
@@ -436,7 +536,7 @@ where
             Some(horizon) => {
                 let stop = r >= horizon;
                 if !stop {
-                    broadcast(
+                    stats += &broadcast(
                         schedule,
                         &range,
                         &algs,
@@ -444,22 +544,17 @@ where
                         &mut g,
                         &mut rcvs,
                         &mut stash,
-                        txs,
+                        &mut link,
                         shard_of,
-                        &mut stats,
                         transport,
-                    );
-                    windowed.round_end(r);
+                    )?;
+                    link.round_end(r)?;
                 }
                 stop
             }
             // All-decided: broadcast round r + 1 *speculatively before
-            // arriving*, then close the round with a single parking-barrier
-            // phase — the last shard evaluates the stop condition for
-            // everyone. Because every shard broadcast before arriving, the
-            // barrier release finds the entire next round already queued:
-            // the receive phase above never blocks, and this barrier is the
-            // round's only park.
+            // arriving*, then close the round with a single barrier phase —
+            // the last shard evaluates the stop condition for everyone.
             None => {
                 let spec = broadcast(
                     schedule,
@@ -469,19 +564,22 @@ where
                     &mut g,
                     &mut rcvs,
                     &mut stash,
-                    txs,
+                    &mut link,
                     shard_of,
-                    &mut stats,
                     transport,
-                );
-                let stop = barrier.wait_eval(|| {
+                )?;
+                stats += &spec;
+                let stop = link.close(|| {
+                    // ordering: Acquire in the leader's verdict, after every
+                    // shard arrived — pairs with each shard's Release store
+                    // of its decided flags in step 3.
                     let all = decided.iter().all(|d| d.load(Ordering::Acquire));
                     until.should_stop(r, all)
-                });
+                })?;
                 if stop {
                     // The speculative round-(r + 1) broadcast never
                     // executes: take it back out of the accounting (its
-                    // packets die unread with the channels and the local
+                    // packets die unread with the inboxes and the local
                     // delivery buffers).
                     stats -= &spec;
                 }
@@ -489,14 +587,14 @@ where
             }
         };
         if stop {
-            return ShardOutcome {
+            return Ok(ShardOutcome {
                 algs,
                 first_decisions,
                 stats,
                 faults,
                 anomalies,
                 rounds_executed: r,
-            };
+            });
         }
         r += 1;
     }
@@ -508,29 +606,29 @@ where
 /// intra-shard edges are written straight into the local delivery buffers
 /// `rcvs`; with a deferring one ([`Transport::DEFERS_LOCAL`]) they are
 /// parked in `stash` so the fault plane gets to touch them at round time
-/// like any channel frame. Inter-shard edges become one packet on the
-/// owning shard's channel either way. Deliveries count only the frames the
-/// fault plane lets through. Returns the broadcast's own stats so a
+/// like any inter-shard frame. Inter-shard edges become one packet on the
+/// link to the owning shard either way. Deliveries count only the frames
+/// the fault plane lets through. Returns the broadcast's stats so a
 /// speculative broadcast can be rolled back if the round never executes.
 #[allow(clippy::too_many_arguments)]
-fn broadcast<S, A, T>(
+fn broadcast<S, A, T, L>(
     schedule: &S,
-    range: &std::ops::Range<usize>,
+    range: &Range<usize>,
     algs: &[A],
     r: Round,
     g: &mut Digraph,
     rcvs: &mut [Received<A::Msg>],
     stash: &mut VecDeque<Packet<T::Frame>>,
-    txs: &[Sender<Packet<T::Frame>>],
+    link: &mut L,
     shard_of: &[usize],
-    stats: &mut MsgStats,
     transport: &T,
-) -> MsgStats
+) -> Result<MsgStats, L::Error>
 where
     S: Schedule + Sync + ?Sized,
     A: RoundAlgorithm,
     A::Msg: WireSized,
     T: Transport<A::Msg>,
+    L: Link<T::Frame>,
 {
     schedule.graph_into(r, g);
     let me = shard_of[range.start];
@@ -538,85 +636,40 @@ where
     for (i, alg) in algs.iter().enumerate() {
         let p = ProcessId::from_usize(range.start + i);
         let msg = Arc::new(alg.send(r));
-        let sz = msg.wire_bytes() as u64;
         let frame = transport.pack(&msg);
         let receivers = g.out_neighbors(p);
         let cnt = transport.delivered_count(r, p, receivers);
-        totals.broadcasts += 1;
-        totals.broadcast_bytes += sz;
-        totals.deliveries += cnt;
-        totals.delivered_bytes += sz * cnt;
+        totals.add_broadcast(msg.wire_bytes() as u64, cnt);
         for v in receivers.iter() {
             let s = shard_of[v.index()];
-            if s == me {
-                if T::DEFERS_LOCAL {
-                    // Codec mode: even an intra-shard frame goes through the
-                    // stash so it is unpacked (and possibly faulted) when
-                    // round `r` is actually processed.
-                    stash.push_back((r, p, v, frame.clone()));
-                } else {
-                    // Intra-shard: a direct in-memory hand-off. The buffer
-                    // is free to take round-(r) payloads — its round-(r − 1)
-                    // contents were consumed and cleared before this
-                    // broadcast. Non-deferring transports never fault.
-                    match transport.unpack(r, p, v, frame.clone()) {
-                        Delivery::Deliver(m) => rcvs[v.index() - range.start].insert(p, m),
-                        _ => unreachable!("non-deferring transport faulted a local hand-off"),
-                    }
-                }
+            if s != me {
+                link.send(s, (r, p, v, frame.clone()))?;
+            } else if T::DEFERS_LOCAL {
+                // Codec mode: even an intra-shard frame goes through the
+                // stash so it is unpacked (and possibly faulted) when
+                // round `r` is actually processed.
+                stash.push_back((r, p, v, frame.clone()));
             } else {
-                txs[s]
-                    .send((r, p, v, frame.clone()))
-                    .expect("recipient shard channel closed");
+                // Intra-shard: a direct in-memory hand-off. The buffer is
+                // free to take round-(r) payloads — its round-(r − 1)
+                // contents were consumed and cleared before this
+                // broadcast. Non-deferring transports never fault.
+                match transport.unpack(r, p, v, frame.clone()) {
+                    Delivery::Deliver(m) => rcvs[v.index() - range.start].insert(p, m),
+                    _ => unreachable!("non-deferring transport faulted a local hand-off"),
+                }
             }
         }
     }
-    *stats += &totals;
-    totals
+    Ok(totals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::fixture::spawn;
     use crate::engine::lockstep::run_lockstep;
-    use crate::engine::threaded::run_threaded;
     use crate::schedule::{FixedSchedule, TableSchedule};
-    use sskel_graph::Digraph;
-
-    /// Same toy algorithm as the lockstep and threaded tests.
-    struct MinFlood {
-        x: Value,
-        horizon: Round,
-        decision: Option<Value>,
-    }
-
-    impl RoundAlgorithm for MinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
-        }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
-                self.x = self.x.min(v);
-            }
-            if r >= self.horizon {
-                self.decision.get_or_insert(self.x);
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            self.decision
-        }
-    }
-
-    fn spawn(n: usize, horizon: Round) -> Vec<MinFlood> {
-        (0..n)
-            .map(|i| MinFlood {
-                x: (n - i) as Value * 10,
-                horizon,
-                decision: None,
-            })
-            .collect()
-    }
 
     #[test]
     fn shard_ranges_are_contiguous_and_balanced() {
@@ -674,11 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_threaded_msg_stats() {
+    fn one_process_per_shard_matches_coarser_shards() {
         let n = 9;
         let s = FixedSchedule::synchronous(n);
         let until = RunUntil::AllDecided { max_rounds: 12 };
-        let (a, _) = run_threaded(&s, spawn(n, 4), until);
+        let (a, _) = run_sharded(&s, spawn(n, 4), until, ShardPlan::new(n));
         let (b, _) = run_sharded(&s, spawn(n, 4), until, ShardPlan::new(4));
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.msg_stats, b.msg_stats);

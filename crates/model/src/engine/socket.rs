@@ -21,10 +21,11 @@
 //!   ([`PacketStream`]) and forwards them into the receiving shard's
 //!   inbox, so TCP backpressure can never deadlock a round (senders
 //!   always find a draining peer).
-//! * **control plane** — round closing stays in shared memory: the same
-//!   speculative-broadcast + leader-verdict protocol as the sharded
-//!   engine under [`RunUntil::AllDecided`], and a windowed skew bound
-//!   under a fixed horizon — but on an *abortable* barrier, so one
+//! * **control plane** — round closing stays in shared memory: the shard
+//!   workers are the sharded engine's own round loop, run over a socket
+//!   link, so the speculative-broadcast + leader-verdict protocol under
+//!   [`RunUntil::AllDecided`] and the windowed skew bound under a fixed
+//!   horizon are the same code — but on *abortable* barriers, so one
 //!   shard's socket failure releases every peer with a typed error
 //!   instead of a hang.
 //! * **failure domain** — socket-level trouble is **transport**-fatal
@@ -33,8 +34,8 @@
 //!   framing, a round that cannot assemble within its budget. In-frame
 //!   corruption injected by the [`FaultPlane`] stays per-edge and
 //!   recoverable: it is quarantined into the run's
-//!   [`crate::fault::FaultStats`] at [`Transport::unpack`] time, exactly
-//!   like the in-process codec engines.
+//!   [`crate::fault::FaultStats`] at [`crate::fault::Transport::unpack`]
+//!   time, exactly like the in-process codec engines.
 //!
 //! Because the fault plane is evaluated at the receiver as a pure
 //! function of `(seed, round, from, to)` and all trace accounting is
@@ -48,27 +49,25 @@
 //! model, timeout semantics and framing are documented in
 //! `docs/CONCURRENCY.md`.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
+use sskel_graph::Round;
 
-use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::sharded::ShardPlan;
+use crate::algorithm::RoundAlgorithm;
+use crate::engine::sharded::{run_shards, Link, Packet, ShardPlan};
 use crate::engine::RunUntil;
 use crate::fault::{
-    encode_packet, CodecTransport, Delivery, FaultCause, FaultPlane, FaultStats, FramedPacket,
-    NoFaults, PacketBuffer, Transport,
+    encode_packet, CodecTransport, FaultPlane, FramedPacket, NoFaults, PacketBuffer,
 };
 use crate::schedule::Schedule;
-use crate::trace::{MsgStats, RunTrace};
-use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError, WireSized};
+use crate::trace::RunTrace;
+use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError};
 
 /// How [`run_socket`] divides the system across shard threads and what
 /// its socket timeouts are.
@@ -389,23 +388,9 @@ impl PacketStream {
     }
 }
 
-/// An inter-shard packet as the shard inboxes carry it.
-type Packet = (Round, ProcessId, ProcessId, Bytes);
-
 /// What a reader thread forwards: a parsed packet, or the typed error
 /// that killed its connection.
-type Inbound = Result<Packet, SocketError>;
-
-/// What one shard thread hands back when the run stops (mirrors the
-/// sharded engine's outcome record).
-struct ShardOutcome<A> {
-    algs: Vec<A>,
-    first_decisions: Vec<Option<(Round, Value)>>,
-    stats: MsgStats,
-    faults: FaultStats,
-    anomalies: Vec<String>,
-    rounds_executed: Round,
-}
+type Inbound = Result<Packet<Bytes>, SocketError>;
 
 /// A generation barrier whose waits can fail: like
 /// [`crate::sync::ParkingBarrier::wait_eval`] but any participant can
@@ -484,21 +469,83 @@ impl AbortableBarrier {
     }
 }
 
-/// Everything a shard needs to declare the run dead and get out: the
-/// shared abort flag plus both barriers to release.
-struct AbortHandle<'a> {
-    flag: &'a AtomicBool,
+/// The socket engine's [`Link`]: inter-shard packets are written to this
+/// shard's outbound TCP streams, inbound ones arrive through its reader
+/// threads' inbox under the per-round deadline, and rounds close on the
+/// abortable barriers. Every error it raises itself first aborts the run
+/// (the abort flag plus both barriers), so no peer is left parked.
+struct SocketLink<'a> {
+    me: usize,
+    inbox: Receiver<Inbound>,
+    /// Outbound streams indexed by destination shard (`None` for `me`).
+    outs: Vec<Option<TcpStream>>,
+    abort: &'a AtomicBool,
     barrier: &'a AbortableBarrier,
     windowed: &'a AbortableBarrier,
+    window: Round,
+    round_timeout: Duration,
+    /// The round being assembled and the instant its budget runs out.
+    deadline: (Round, Instant),
 }
 
-impl AbortHandle<'_> {
-    /// Marks the run aborted and returns `e` for propagation.
+impl SocketLink<'_> {
+    /// Marks the run aborted, releases every peer, and returns `e`.
     fn fail<T>(&self, e: SocketError) -> Result<T, SocketError> {
-        self.flag.store(true, Ordering::Release);
+        // ordering: Release — pairs with the reader threads' Acquire poll
+        // of the flag; it publishes nothing else, the barriers' mutex
+        // carries the abort to the shards.
+        self.abort.store(true, Ordering::Release);
         self.barrier.abort();
         self.windowed.abort();
         Err(e)
+    }
+}
+
+impl Link<Bytes> for SocketLink<'_> {
+    type Error = SocketError;
+
+    fn send(&mut self, to: usize, (r, p, v, frame): Packet<Bytes>) -> Result<(), SocketError> {
+        let pkt = encode_packet(r, p, v, &frame);
+        let stream = self.outs[to].as_mut().expect("missing outbound stream");
+        match stream.write_all(&pkt) {
+            Ok(()) => Ok(()),
+            Err(source) => self.fail(SocketError::Io { peer: to, source }),
+        }
+    }
+
+    fn recv(&mut self, r: Round) -> Result<Packet<Bytes>, SocketError> {
+        // The round budget starts with the round's first wait.
+        if self.deadline.0 != r {
+            self.deadline = (r, Instant::now() + self.round_timeout);
+        }
+        let budget = self.deadline.1.saturating_duration_since(Instant::now());
+        match self.inbox.recv_timeout(budget) {
+            Ok(Ok(packet)) => Ok(packet),
+            Ok(Err(e)) => self.fail(e),
+            Err(RecvTimeoutError::Timeout) => self.fail(SocketError::Timeout {
+                shard: self.me,
+                round: r,
+            }),
+            // The engine keeps every sender alive until all shards have
+            // joined; a disconnect here means the run is being torn down
+            // around us.
+            Err(RecvTimeoutError::Disconnected) => Err(SocketError::Aborted),
+        }
+    }
+
+    fn round_end(&mut self, r: Round) -> Result<(), SocketError> {
+        if r.is_multiple_of(self.window) {
+            self.windowed.wait()?;
+        }
+        Ok(())
+    }
+
+    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, SocketError> {
+        self.barrier.wait_eval(stop)
+    }
+
+    fn is_echo(e: &SocketError) -> bool {
+        matches!(e, SocketError::Aborted)
     }
 }
 
@@ -531,7 +578,7 @@ where
 /// intra-shard hand-offs that never touch a socket — passes through
 /// `plane` at the receiver, exactly like the in-process codec engines.
 /// Frames the plane destroys are quarantined into the trace's
-/// [`FaultStats`]; the resulting trace is byte-identical to
+/// [`crate::fault::FaultStats`]; the resulting trace is byte-identical to
 /// [`super::run_lockstep_codec`] over the same schedule, seed and
 /// horizon (pinned by `tests/fault_plane.rs` and `tests/conformance.rs`).
 ///
@@ -556,16 +603,8 @@ where
         n,
         "need exactly one algorithm instance per process"
     );
-    let transport = CodecTransport::new(plane);
-
     let ranges = plan.ranges(n);
     let shards = ranges.len();
-    let mut shard_of = vec![0usize; n];
-    for (s, range) in ranges.iter().enumerate() {
-        for p in range.clone() {
-            shard_of[p] = s;
-        }
-    }
 
     // --- mesh establishment -------------------------------------------
     let mut listeners = Vec::with_capacity(shards);
@@ -591,25 +630,23 @@ where
     let abort = AtomicBool::new(false);
     let barrier = AbortableBarrier::new(shards);
     let windowed = AbortableBarrier::new(shards);
-    let decided: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
     let mut txs: Vec<Sender<Inbound>> = Vec::with_capacity(shards);
-    let mut rxs: Vec<Option<Receiver<Inbound>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = unbounded();
+    let mut links = Vec::with_capacity(shards);
+    for (me, outs) in outs.into_iter().enumerate() {
+        let (tx, inbox) = unbounded();
         txs.push(tx);
-        rxs.push(Some(rx));
+        links.push(SocketLink {
+            me,
+            inbox,
+            outs,
+            abort: &abort,
+            barrier: &barrier,
+            windowed: &windowed,
+            window: plan.window,
+            round_timeout: plan.round_timeout,
+            deadline: (0, Instant::now()),
+        });
     }
-
-    let mut algs = algs;
-    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(shards);
-    for range in ranges.iter().rev() {
-        shard_algs.push(algs.split_off(range.start));
-    }
-    shard_algs.reverse();
-
-    let mut outcomes: Vec<Option<Result<ShardOutcome<A>, SocketError>>> =
-        (0..shards).map(|_| None).collect();
 
     std::thread::scope(|scope| {
         // One reader thread per inbound connection: parse packets off
@@ -631,64 +668,18 @@ where
                 });
             }
         }
-
-        let mut handles = Vec::with_capacity(shards);
-        for ((s, owned), conns) in shard_algs.into_iter().enumerate().zip(outs) {
-            let rx = rxs[s].take().expect("receiver taken twice");
-            let range = ranges[s].clone();
-            let shard_of = &shard_of;
-            let aborter = AbortHandle {
-                flag: &abort,
-                barrier: &barrier,
-                windowed: &windowed,
-            };
-            let decided = &decided;
-            let transport = &transport;
-            let plan = &plan;
-            handles.push(scope.spawn(move || {
-                run_socket_shard(
-                    schedule, range, owned, rx, conns, shard_of, aborter, decided, until, plan,
-                    transport,
-                )
-            }));
-        }
-        for (s, h) in handles.into_iter().enumerate() {
-            outcomes[s] = Some(h.join().expect("shard thread panicked"));
-        }
-    });
-    drop(txs);
-
-    // One failing shard aborts the others; report the root cause (the
-    // lowest-indexed shard with a non-Aborted error), not the echo.
-    let mut aborted = false;
-    let mut collected = Vec::with_capacity(shards);
-    for outcome in outcomes {
-        match outcome.expect("missing shard outcome") {
-            Ok(o) => collected.push(o),
-            Err(SocketError::Aborted) => aborted = true,
-            Err(e) => return Err(e),
-        }
-    }
-    if aborted {
-        return Err(SocketError::Aborted);
-    }
-
-    let mut trace = RunTrace::new(n);
-    let mut algs_back = Vec::with_capacity(n);
-    for (s, o) in collected.into_iter().enumerate() {
-        for (i, first) in o.first_decisions.iter().enumerate() {
-            if let Some((round, value)) = first {
-                trace.record_decision(ProcessId::from_usize(ranges[s].start + i), *round, *value);
-            }
-        }
-        trace.msg_stats += &o.stats;
-        trace.faults.merge(o.faults);
-        trace.anomalies.extend(o.anomalies);
-        trace.rounds_executed = trace.rounds_executed.max(o.rounds_executed);
-        algs_back.extend(o.algs);
-    }
-    trace.faults.finalize();
-    Ok((trace, algs_back))
+        // One failing shard aborts the others; the root cause (the
+        // lowest-indexed shard with a non-`Aborted` error) is reported,
+        // not the echo.
+        run_shards(
+            schedule,
+            algs,
+            until,
+            &ranges,
+            links,
+            &CodecTransport::new(plane),
+        )
+    })
 }
 
 /// Opens the `shards · (shards − 1)` outbound connections: shard `s`
@@ -834,6 +825,8 @@ fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Result<usize, Socket
 /// once, then exit), the inbox's shard is gone, or the run aborts.
 fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) {
     loop {
+        // ordering: Acquire pairs with the failing shard's Release store
+        // in `SocketLink::fail`; the flag is only a stop signal.
         if abort.load(Ordering::Acquire) {
             return;
         }
@@ -856,305 +849,17 @@ fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) 
     }
 }
 
-/// The per-thread round loop over one contiguous shard of processes —
-/// the socket twin of the sharded engine's `run_shard`, with inter-shard
-/// frames written to TCP streams and every failure path routed through
-/// the abort handle so peers are always released.
-#[allow(clippy::too_many_arguments)]
-fn run_socket_shard<S, A, T>(
-    schedule: &S,
-    range: std::ops::Range<usize>,
-    mut algs: Vec<A>,
-    rx: Receiver<Inbound>,
-    mut outs: Vec<Option<TcpStream>>,
-    shard_of: &[usize],
-    aborter: AbortHandle<'_>,
-    decided: &[AtomicBool],
-    until: RunUntil,
-    plan: &SocketPlan,
-    transport: &T,
-) -> Result<ShardOutcome<A>, SocketError>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
-{
-    let n = schedule.n();
-    let me = shard_of[range.start];
-    let k = range.len();
-    let static_horizon = until.static_horizon();
-    let mut stats = MsgStats::default();
-    let mut faults = FaultStats::new();
-    let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
-    let mut anomalies = Vec::new();
-    // Early arrivals from a future round, plus this shard's own
-    // intra-shard frames (the codec transport defers local hand-offs so
-    // the fault plane touches them at round time; see the sharded
-    // engine).
-    let mut stash: VecDeque<Packet> = VecDeque::new();
-    let mut g = Digraph::empty(n);
-    let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
-    let mut r: Round = FIRST_ROUND;
-
-    // 1. Send along the out-edges of G^r.
-    if let Err(e) = broadcast(
-        schedule, &range, &algs, r, &mut g, &mut stash, &mut outs, shard_of, &mut stats, transport,
-    ) {
-        return aborter.fail(e);
-    }
-
-    loop {
-        // 2. Receive one frame per in-edge of G^r (the codec transport
-        // defers local hand-offs, so every in-edge counts), bounded by
-        // the round budget.
-        let mut remaining = 0usize;
-        for p in range.clone() {
-            for q in g.in_neighbors(ProcessId::from_usize(p)).iter() {
-                remaining += usize::from(T::DEFERS_LOCAL || shard_of[q.index()] != me);
-            }
-        }
-        let stashed = std::mem::take(&mut stash);
-        for (pr, q, to, f) in stashed {
-            if pr == r {
-                match transport.unpack(r, q, to, f) {
-                    Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                    Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                    Delivery::Quarantined(e) => {
-                        faults.record(r, q, to, FaultCause::Quarantined(e));
-                    }
-                }
-                remaining -= 1;
-            } else {
-                stash.push_back((pr, q, to, f));
-            }
-        }
-        let round_deadline = Instant::now() + plan.round_timeout;
-        while remaining > 0 {
-            let budget = round_deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(budget) {
-                Ok(Ok((pr, q, to, f))) => {
-                    if pr == r {
-                        debug_assert!(
-                            g.in_neighbors(to).contains(q),
-                            "unexpected sender {q} for {to} in round {r}"
-                        );
-                        match transport.unpack(r, q, to, f) {
-                            Delivery::Deliver(m) => rcvs[to.index() - range.start].insert(q, m),
-                            Delivery::Dropped => faults.record(r, q, to, FaultCause::Dropped),
-                            Delivery::Quarantined(e) => {
-                                faults.record(r, q, to, FaultCause::Quarantined(e));
-                            }
-                        }
-                        remaining -= 1;
-                    } else {
-                        debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
-                        stash.push_back((pr, q, to, f));
-                    }
-                }
-                Ok(Err(e)) => return aborter.fail(e),
-                Err(RecvTimeoutError::Timeout) => {
-                    return aborter.fail(SocketError::Timeout {
-                        shard: me,
-                        round: r,
-                    });
-                }
-                // The main thread keeps every sender alive until all
-                // shards have joined; a disconnect here means the run is
-                // being torn down around us.
-                Err(RecvTimeoutError::Disconnected) => return Err(SocketError::Aborted),
-            }
-        }
-
-        // 3. Transition every resident process, publish decision status.
-        for (i, alg) in algs.iter_mut().enumerate() {
-            let p = ProcessId::from_usize(range.start + i);
-            alg.receive(r, &rcvs[i]);
-            rcvs[i].clear();
-            if let Some(v) = alg.decision() {
-                match first_decisions[i] {
-                    None => {
-                        first_decisions[i] = Some((r, v));
-                        decided[p.index()].store(true, Ordering::Release);
-                    }
-                    Some((r0, v0)) if v0 != v => anomalies.push(format!(
-                        "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-
-        // 4. Close the round — same protocol as the sharded engine
-        // (windowed skew bound under a fixed horizon, speculative
-        // broadcast + leader verdict under all-decided), but on the
-        // abortable barrier.
-        let stop = match static_horizon {
-            Some(horizon) => {
-                let stop = r >= horizon;
-                if !stop {
-                    if let Err(e) = broadcast(
-                        schedule,
-                        &range,
-                        &algs,
-                        r + 1,
-                        &mut g,
-                        &mut stash,
-                        &mut outs,
-                        shard_of,
-                        &mut stats,
-                        transport,
-                    ) {
-                        return aborter.fail(e);
-                    }
-                    if r.is_multiple_of(plan.window) {
-                        aborter.windowed.wait()?;
-                    }
-                }
-                stop
-            }
-            None => {
-                let spec = match broadcast(
-                    schedule,
-                    &range,
-                    &algs,
-                    r + 1,
-                    &mut g,
-                    &mut stash,
-                    &mut outs,
-                    shard_of,
-                    &mut stats,
-                    transport,
-                ) {
-                    Ok(spec) => spec,
-                    Err(e) => return aborter.fail(e),
-                };
-                let stop = aborter.barrier.wait_eval(|| {
-                    let all = decided.iter().all(|d| d.load(Ordering::Acquire));
-                    until.should_stop(r, all)
-                })?;
-                if stop {
-                    // The speculative round never executes: roll its
-                    // accounting back (its packets die unread in the
-                    // inboxes and kernel buffers).
-                    stats -= &spec;
-                }
-                stop
-            }
-        };
-        if stop {
-            return Ok(ShardOutcome {
-                algs,
-                first_decisions,
-                stats,
-                faults,
-                anomalies,
-                rounds_executed: r,
-            });
-        }
-        r += 1;
-    }
-}
-
-/// Runs the sending function of every resident process for round `r` and
-/// ships the sealed frames along the out-edges of `G^r` (left in `g`):
-/// intra-shard edges are parked in `stash` (the codec transport defers
-/// them to round time), inter-shard edges become one
-/// [`encode_packet`]-framed write on the destination shard's stream.
-/// Accounting matches the in-process engines exactly. Returns the
-/// broadcast's own stats so a speculative broadcast can be rolled back.
-#[allow(clippy::too_many_arguments)]
-fn broadcast<S, A, T>(
-    schedule: &S,
-    range: &std::ops::Range<usize>,
-    algs: &[A],
-    r: Round,
-    g: &mut Digraph,
-    stash: &mut VecDeque<Packet>,
-    outs: &mut [Option<TcpStream>],
-    shard_of: &[usize],
-    stats: &mut MsgStats,
-    transport: &T,
-) -> Result<MsgStats, SocketError>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
-{
-    schedule.graph_into(r, g);
-    let me = shard_of[range.start];
-    let mut totals = MsgStats::default();
-    for (i, alg) in algs.iter().enumerate() {
-        let p = ProcessId::from_usize(range.start + i);
-        let msg = Arc::new(alg.send(r));
-        let sz = msg.wire_bytes() as u64;
-        let frame = transport.pack(&msg);
-        let receivers = g.out_neighbors(p);
-        let cnt = transport.delivered_count(r, p, receivers);
-        totals.broadcasts += 1;
-        totals.broadcast_bytes += sz;
-        totals.deliveries += cnt;
-        totals.delivered_bytes += sz * cnt;
-        for v in receivers.iter() {
-            let s = shard_of[v.index()];
-            if s == me {
-                stash.push_back((r, p, v, frame.clone()));
-            } else {
-                let pkt = encode_packet(r, p, v, &frame);
-                let stream = outs[s].as_mut().expect("missing outbound stream");
-                stream
-                    .write_all(&pkt)
-                    .map_err(|e| SocketError::Io { peer: s, source: e })?;
-            }
-        }
-    }
-    *stats += &totals;
-    Ok(totals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use sskel_graph::{Digraph, ProcessId};
+
+    use crate::engine::fixture::spawn;
     use crate::engine::lockstep::{run_lockstep, run_lockstep_codec};
     use crate::fault::CorruptionOverlay;
     use crate::schedule::{FixedSchedule, TableSchedule};
-
-    /// Same toy algorithm as the other engines' tests.
-    #[derive(Debug)]
-    struct MinFlood {
-        x: Value,
-        horizon: Round,
-        decision: Option<Value>,
-    }
-
-    impl RoundAlgorithm for MinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
-        }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
-                self.x = self.x.min(v);
-            }
-            if r >= self.horizon {
-                self.decision.get_or_insert(self.x);
-            }
-        }
-        fn decision(&self) -> Option<Value> {
-            self.decision
-        }
-    }
-
-    fn spawn(n: usize, horizon: Round) -> Vec<MinFlood> {
-        (0..n)
-            .map(|i| MinFlood {
-                x: (n - i) as Value * 10,
-                horizon,
-                decision: None,
-            })
-            .collect()
-    }
 
     fn loopback() -> bool {
         TcpListener::bind(("127.0.0.1", 0)).is_ok()

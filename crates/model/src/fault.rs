@@ -31,7 +31,7 @@
 //! * [`CorruptionOverlay`] — a seeded [`FaultPlane`]: whether and how the
 //!   frame on edge `(from → to)` of round `r` is mangled is a **pure
 //!   function of `(seed, round, from, to)`**, so every run reproduces
-//!   from one `u64` and all three engines observe the *identical* fault
+//!   from one `u64` and every engine observes the *identical* fault
 //!   pattern. Loopback frames (`from == to`) are never tampered: every
 //!   process always hears itself, which keeps the effective schedule a
 //!   valid schedule (self-loops are mandatory) and mirrors the fact that
@@ -803,7 +803,7 @@ pub struct EdgeFault {
 /// The fault ledger of a run: every dropped or quarantined frame, in the
 /// canonical order `(round, to, from)`. Engines record faults in their
 /// own execution order and [`FaultStats::finalize`] at the join, so for
-/// one seed all three engines produce an **identical** ledger (pinned by
+/// one seed every engine produces an **identical** ledger (pinned by
 /// the conformance suite).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {

@@ -7,20 +7,18 @@
 //! the Heard-Of / Round-by-Round-Fault-Detector correspondences (eqs.
 //! (6)–(7)).
 //!
-//! Four interchangeable simulation engines execute algorithms:
+//! Three interchangeable simulation engines execute algorithms:
 //!
 //! * [`engine::run_lockstep`] — deterministic, single-threaded, observable
 //!   round by round;
-//! * [`engine::run_threaded`] — one OS thread per process with std mpsc
-//!   channels and at most one parking barrier per round (none at all under
-//!   a fixed horizon), producing identical traces;
 //! * [`engine::run_sharded`] — `k` processes per thread
-//!   ([`engine::ShardPlan`]): one inbox per shard, channel-free delivery
-//!   inside a shard, and a bounded-skew windowed barrier
-//!   ([`sync::WindowedBarrier`]) under a fixed horizon — identical traces
-//!   again, at a fraction of the context switches;
-//! * [`engine::run_socket`] — the sharded partition with every inter-shard
-//!   frame sealed and carried over real loopback TCP
+//!   ([`engine::ShardPlan`]; `ShardPlan::new(n)` gives every process its
+//!   own thread): one inbox per shard, channel-free delivery inside a
+//!   shard, at most one parking barrier per round, and a bounded-skew
+//!   windowed barrier ([`sync::WindowedBarrier`]) under a fixed horizon —
+//!   producing identical traces;
+//! * [`engine::run_socket`] — the same shard worker with every
+//!   inter-shard frame sealed and carried over real loopback TCP
 //!   ([`engine::SocketPlan`]): the OS owns the byte path, stream framing
 //!   resumes across partial reads, and socket trouble surfaces as typed
 //!   [`engine::SocketError`]s — still trace-identical to lockstep.
@@ -85,8 +83,7 @@ pub use algorithm::{ProcessCtx, Received, Recoverable, RoundAlgorithm, Value};
 pub use engine::{
     run_lockstep, run_lockstep_codec, run_lockstep_observed, run_lockstep_recovering,
     run_multiplex_codec, run_sharded, run_sharded_codec, run_socket, run_socket_codec,
-    run_threaded, run_threaded_codec, MultiplexPlan, MuxInstance, RunUntil, ShardPlan, SocketError,
-    SocketPlan,
+    MultiplexPlan, MuxInstance, RunUntil, ShardPlan, SocketError, SocketPlan,
 };
 pub use fault::{
     BatchBuilder, BatchFrame, BatchReader, CorruptionOverlay, EdgeFault, EffectiveSchedule,

@@ -1,6 +1,6 @@
-//! Synchronization primitives for the threaded engine.
+//! Synchronization primitives for the shard worker.
 //!
-//! The threaded simulators implement communication-closed rounds with at
+//! The concurrent engines implement communication-closed rounds with at
 //! most one barrier per round. Three barriers are provided (the trade-offs
 //! are laid out in `docs/CONCURRENCY.md`):
 //!

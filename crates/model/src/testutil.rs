@@ -2,8 +2,8 @@
 //! `testutil`).
 //!
 //! The conformance suite (`tests/conformance.rs` at the repository root)
-//! drives every adversary family of [`crate::adversary`] through all three
-//! simulation engines. This module holds the pieces the suite shares:
+//! drives every adversary family of [`crate::adversary`] through every
+//! simulation engine. This module holds the pieces the suite shares:
 //!
 //! * [`base_seed`] — the `SSKEL_TEST_SEED` environment override. Every
 //!   conformance case derives its adversary seed from this base, so a

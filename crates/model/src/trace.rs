@@ -28,6 +28,17 @@ pub struct MsgStats {
     pub delivered_bytes: u64,
 }
 
+impl MsgStats {
+    /// Accounts one broadcast of a `bytes`-byte payload that reaches
+    /// `receivers` processes.
+    pub(crate) fn add_broadcast(&mut self, bytes: u64, receivers: u64) {
+        self.broadcasts += 1;
+        self.broadcast_bytes += bytes;
+        self.deliveries += receivers;
+        self.delivered_bytes += bytes * receivers;
+    }
+}
+
 impl core::ops::AddAssign<&MsgStats> for MsgStats {
     /// Field-wise sum — engines use this to fold per-thread (or per-shard)
     /// accounting into the run's totals, so a future `MsgStats` field only

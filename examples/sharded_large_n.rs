@@ -77,9 +77,9 @@ fn main() {
         sharded.msg_stats.delivered_bytes as f64 / (1024.0 * 1024.0)
     );
     println!(
-        "  (try the same n with run_threaded: 256 OS threads, one context \
-         switch per process per round — the sharded plan exists so you \
-         don't have to)"
+        "  (try the same n with ShardPlan::new(n): 256 OS threads, one \
+         context switch per process per round — the coarse plan exists so \
+         you don't have to)"
     );
 }
 

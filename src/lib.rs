@@ -42,7 +42,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`graph`] | process sets, digraphs, labelled digraphs, SCC/root components |
-//! | [`model`] | rounds, schedules, skeleton tracking, lockstep + threaded engines |
+//! | [`model`] | rounds, schedules, skeleton tracking, lockstep, sharded, socket and multiplex engines, journal |
 //! | [`predicates`] | `Psrcs(k)` checkers, `min_k`, schedule families |
 //! | [`kset`] | Algorithm 1, estimator, baselines, verifier, lemma checkers |
 
@@ -67,14 +67,14 @@ pub mod prelude {
     pub use sskel_model::{
         diff_journals, diff_run_traces, run_lockstep, run_lockstep_codec, run_lockstep_observed,
         run_lockstep_recovering, run_multiplex_codec, run_sharded, run_sharded_codec, run_socket,
-        run_socket_codec, run_threaded, run_threaded_codec, scan_journal, validate_schedule,
-        BatchBuilder, BatchReader, ChurnAdversary, Component, CorruptionOverlay, CrashOverlay,
-        CrashRestartOverlay, Divergence, EdgeFault, EffectiveSchedule, FaultCause, FaultPlane,
-        FaultStats, FixedSchedule, HealedPartitionAdversary, JournalWriter, LowerBoundAdversary,
-        MultiplexPlan, MuxInstance, NoFaults, PartitionEpisode, ProcessCtx, Received, Recoverable,
-        ResumeError, RotatingRootAdversary, RoundAlgorithm, RunMeta, RunTrace, RunUntil, Schedule,
-        ShardPlan, SkeletonTracker, SocketError, SocketPlan, StableRootAdversary, TableSchedule,
-        Tamper, Value,
+        run_socket_codec, scan_journal, validate_schedule, BatchBuilder, BatchReader,
+        ChurnAdversary, Component, CorruptionOverlay, CrashOverlay, CrashRestartOverlay,
+        Divergence, EdgeFault, EffectiveSchedule, FaultCause, FaultPlane, FaultStats,
+        FixedSchedule, HealedPartitionAdversary, JournalWriter, LowerBoundAdversary, MultiplexPlan,
+        MuxInstance, NoFaults, PartitionEpisode, ProcessCtx, Received, Recoverable, ResumeError,
+        RotatingRootAdversary, RoundAlgorithm, RunMeta, RunTrace, RunUntil, Schedule, ShardPlan,
+        SkeletonTracker, SocketError, SocketPlan, StableRootAdversary, TableSchedule, Tamper,
+        Value,
     };
     pub use sskel_predicates::{
         check_theorem1, check_theorem1_tight, min_k_on_skeleton, planted_psrcs_schedule,

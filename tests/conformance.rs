@@ -14,8 +14,9 @@
 //! * **validity** — every decision was proposed;
 //! * **termination** — every process decides within the Lemma-11 bound
 //!   `rST + 2n − 1` of the *declared* stabilization round;
-//! * **engine equivalence** — lockstep, threaded, sharded and socket
-//!   produce byte-identical decision vectors, round counts and message
+//! * **engine equivalence** — lockstep, the sharded engine at one process
+//!   per shard and at a seeded coarser plan, and socket produce
+//!   byte-identical decision vectors, round counts and message
 //!   statistics. The socket column runs the adversary's frames over real
 //!   loopback TCP (`run_socket`) and is skipped gracefully when the
 //!   sandbox has no loopback (`testutil::loopback_available`).
@@ -37,8 +38,8 @@ use sskel::model::testutil::{
 };
 use sskel::prelude::*;
 
-/// Runs one conformance case through all four engines and checks the full
-/// contract. Returns `Err` (never panics) so proptest can shrink the
+/// Runs one conformance case through all four engine columns and checks
+/// the full contract. Returns `Err` (never panics) so proptest can shrink the
 /// config.
 fn conform(cfg: &AdversaryConfig) -> Result<(), TestCaseError> {
     let s = cfg.build();
@@ -58,7 +59,8 @@ fn conform(cfg: &AdversaryConfig) -> Result<(), TestCaseError> {
     };
 
     let (lockstep, _) = run_lockstep(s.as_ref(), spawn(), until);
-    let (threaded, _) = run_threaded(s.as_ref(), spawn(), until);
+    // One thread per process: every delivery crosses a channel.
+    let (per_process, _) = run_sharded(s.as_ref(), spawn(), until, ShardPlan::new(n));
     let shards = 1 + (cfg.seed % 3) as usize;
     let window = [1u32, 2, 7][(cfg.seed >> 16) as usize % 3];
     let (sharded, _) = run_sharded(
@@ -80,7 +82,7 @@ fn conform(cfg: &AdversaryConfig) -> Result<(), TestCaseError> {
         None
     };
 
-    let mut engines = vec![("threaded", &threaded), ("sharded", &sharded)];
+    let mut engines = vec![("per-process shards", &per_process), ("sharded", &sharded)];
     if let Some(t) = socket.as_ref() {
         engines.push(("socket", t));
     }
@@ -235,7 +237,7 @@ fn composed_adversaries_conform() {
         };
         let spawn = || KSetAgreement::spawn_all_with(n, &inputs, DecisionRule::FreshnessGuarded);
         let (a, _) = run_lockstep(&s, spawn(), until);
-        let (b, _) = run_threaded(&s, spawn(), until);
+        let (b, _) = run_sharded(&s, spawn(), until, ShardPlan::new(n));
         let (c, _) = run_sharded(&s, spawn(), until, ShardPlan::new(3).with_window(2));
         assert_eq!(a.decisions, b.decisions, "seed={seed:#x}");
         assert_eq!(a.decisions, c.decisions, "seed={seed:#x}");

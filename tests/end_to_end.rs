@@ -117,13 +117,19 @@ fn eventually_stable_prefixes_delay_but_never_break_agreement() {
     }
 }
 
+/// The Figure-1 run with one thread per process matches lockstep.
 #[test]
 fn figure1_and_facade_schedules_compose_with_threaded_engine() {
     let s = Figure1Schedule::new();
     let inputs = Figure1Schedule::example_inputs();
     let until = RunUntil::AllDecided { max_rounds: 30 };
     let (a, _) = run_lockstep(&s, KSetAgreement::spawn_all(6, &inputs), until);
-    let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(6, &inputs), until);
+    let (b, _) = run_sharded(
+        &s,
+        KSetAgreement::spawn_all(6, &inputs),
+        until,
+        ShardPlan::new(6),
+    );
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.msg_stats, b.msg_stats);
 }

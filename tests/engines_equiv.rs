@@ -1,9 +1,10 @@
-//! The concurrent engines (threaded: one thread + channel per process;
-//! sharded: k processes per thread, windowed barriers) must produce
-//! byte-identical traces and final estimator states to the deterministic
-//! lockstep engine on arbitrary schedules — the paper's runs are fully
-//! determined by initial states and the communication-graph sequence, so
-//! any divergence is an engine bug.
+//! The sharded engine must produce byte-identical traces and final
+//! estimator states to the deterministic lockstep engine on arbitrary
+//! schedules, both *threaded* — one thread and one inbox per process
+//! (`ShardPlan::new(n)`), so every delivery crosses a channel — and with
+//! `k` processes per thread and windowed barriers. The paper's runs are
+//! fully determined by initial states and the communication-graph
+//! sequence, so any divergence is an engine bug.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,6 +16,7 @@ proptest! {
     // thread spawning is comparatively expensive: keep the case count modest
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// One thread per process: every delivery crosses a channel.
     #[test]
     fn threaded_equals_lockstep_on_random_planted_schedules(
         seed in any::<u64>(),
@@ -28,7 +30,8 @@ proptest! {
         let until = RunUntil::AllDecided { max_rounds: lemma11_bound(&s) + 3 };
 
         let (a, _) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
-        let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(n, &inputs), until);
+        let (b, _) =
+            run_sharded(&s, KSetAgreement::spawn_all(n, &inputs), until, ShardPlan::new(n));
 
         prop_assert_eq!(&a.decisions, &b.decisions);
         prop_assert_eq!(a.rounds_executed, b.rounds_executed);
@@ -112,6 +115,8 @@ proptest! {
         }
     }
 
+    /// One thread per process under a fixed horizon, closed by the
+    /// windowed barrier.
     #[test]
     fn threaded_equals_lockstep_with_fixed_round_budget(
         seed in any::<u64>(),
@@ -137,22 +142,28 @@ proptest! {
         let until = RunUntil::Rounds(rounds);
 
         let (a, _) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
-        let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(n, &inputs), until);
+        let (b, _) =
+            run_sharded(&s, KSetAgreement::spawn_all(n, &inputs), until, ShardPlan::new(n));
 
         prop_assert_eq!(&a.decisions, &b.decisions);
         prop_assert_eq!(a.msg_stats, b.msg_stats);
     }
 }
 
-/// Final algorithm states (not just traces) agree between all three
-/// engines.
+/// Final algorithm states (not just traces) agree between lockstep and
+/// the sharded engine at one and at three processes per thread.
 #[test]
 fn final_states_identical_between_engines() {
     let s = Figure1Schedule::new();
     let inputs = Figure1Schedule::example_inputs();
     let until = RunUntil::Rounds(12);
     let (_, finals_a) = run_lockstep(&s, KSetAgreement::spawn_all(6, &inputs), until);
-    let (_, finals_b) = run_threaded(&s, KSetAgreement::spawn_all(6, &inputs), until);
+    let (_, finals_b) = run_sharded(
+        &s,
+        KSetAgreement::spawn_all(6, &inputs),
+        until,
+        ShardPlan::new(6),
+    );
     let (_, finals_c) = run_sharded(
         &s,
         KSetAgreement::spawn_all(6, &inputs),
@@ -209,7 +220,7 @@ fn sharded_partial_final_window_matches_lockstep() {
     }
 }
 
-/// All three engines agree across **forced delta-window rebases**: with a
+/// The engines agree across **forced delta-window rebases**: with a
 /// tiny rebase limit the estimators renormalize their u16 label matrices
 /// every few rounds, and traces, wire accounting and final estimator
 /// matrices must stay byte-identical between engines — and the final
@@ -230,7 +241,7 @@ fn engines_agree_across_forced_rebases() {
     };
     // limit 8 > n + 1: rebases at r = 9, 12, 15, … (step 3) — 11 of them
     let (a, finals_a) = run_lockstep(&s, spawn(8), until);
-    let (b, finals_b) = run_threaded(&s, spawn(8), until);
+    let (b, finals_b) = run_sharded(&s, spawn(8), until, ShardPlan::new(n));
     let (c, finals_c) = run_sharded(&s, spawn(8), until, ShardPlan::new(2).with_window(3));
     for (name, t, finals) in [("threaded", &b, &finals_b), ("sharded", &c, &finals_c)] {
         assert_eq!(a.decisions, t.decisions, "{name}");
@@ -260,7 +271,8 @@ fn engines_agree_across_forced_rebases() {
     }
 }
 
-/// Larger thread counts than cores still terminate and agree.
+/// Larger thread counts than cores — one thread per process — still
+/// terminate and agree.
 #[test]
 fn oversubscribed_threaded_run() {
     let n = 48;
@@ -270,7 +282,12 @@ fn oversubscribed_threaded_run() {
         max_rounds: n as Round + 5,
     };
     let (a, _) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
-    let (b, _) = run_threaded(&s, KSetAgreement::spawn_all(n, &inputs), until);
+    let (b, _) = run_sharded(
+        &s,
+        KSetAgreement::spawn_all(n, &inputs),
+        until,
+        ShardPlan::new(n),
+    );
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.rounds_executed, n as Round);
 }

@@ -13,9 +13,9 @@
 //!   receivers quarantine garbage frames (typed [`WireError`] causes in
 //!   the run's [`FaultStats`]) and carry on;
 //! * **determinism** — the fault pattern is a pure function of
-//!   `(seed, round, from, to)`, so for one seed all four engines —
-//!   including `run_socket_codec`, where the frames really cross
-//!   loopback TCP — produce the identical trace *and the identical
+//!   `(seed, round, from, to)`, so for one seed every engine and shard
+//!   plan — including `run_socket_codec`, where the frames really cross
+//!   loopback TCP — produces the identical trace *and the identical
 //!   fault ledger*;
 //! * **conformance on the surviving schedule** — a corrupted run is an
 //!   uncorrupted run of the *effective* schedule (tampered edges
@@ -50,7 +50,8 @@ fn assert_identical(a: &RunTrace, b: &RunTrace, ctx: &str) {
 }
 
 /// Codec-boundary mode with an inert plane is indistinguishable from the
-/// `Arc` hand-off path — in all three engines, across adversary families.
+/// `Arc` hand-off path — in lockstep and in the sharded engine at one
+/// process per shard and at three shards, across adversary families.
 #[test]
 fn codec_noop_mode_is_byte_identical_to_arc_mode() {
     for (i, family) in [
@@ -80,9 +81,11 @@ fn codec_noop_mode_is_byte_identical_to_arc_mode() {
         assert_identical(&arc_ls, &codec_ls, &format!("{cfg}: lockstep"));
         assert!(codec_ls.faults.is_empty(), "{cfg}: inert plane lost frames");
 
-        let (arc_th, _) = run_threaded(s.as_ref(), spawn(), until);
-        let (codec_th, _) = run_threaded_codec(s.as_ref(), spawn(), until, &NoFaults);
-        assert_identical(&arc_th, &codec_th, &format!("{cfg}: threaded"));
+        // One thread per process.
+        let per_process = || ShardPlan::new(n);
+        let (arc_th, _) = run_sharded(s.as_ref(), spawn(), until, per_process());
+        let (codec_th, _) = run_sharded_codec(s.as_ref(), spawn(), until, per_process(), &NoFaults);
+        assert_identical(&arc_th, &codec_th, &format!("{cfg}: per-process shards"));
 
         let plan = || ShardPlan::new(3).with_window(2);
         let (arc_sh, _) = run_sharded(s.as_ref(), spawn(), until, plan());
@@ -111,9 +114,10 @@ fn codec_noop_mode_is_byte_identical_to_arc_mode() {
 
 /// No engine panics at **any** corruption rate — including 1.0, where
 /// every non-loopback frame is mangled or dropped and each process hears
-/// only itself. Per rate and seed, all three engines produce identical
-/// traces, fault ledgers and quarantine counts; re-running reproduces
-/// them byte-for-byte.
+/// only itself. Per rate and seed, lockstep and the sharded engine at one
+/// process per shard and at two shards produce identical traces, fault
+/// ledgers and quarantine counts; re-running reproduces them
+/// byte-for-byte.
 #[test]
 fn engines_survive_every_corruption_rate_deterministically() {
     let n = 6;
@@ -126,9 +130,9 @@ fn engines_survive_every_corruption_rate_deterministically() {
         let spawn = || freshness_spawn(n, &inputs);
 
         let (ls, _) = run_lockstep_codec(&s, spawn(), until, &plane);
-        let (th, _) = run_threaded_codec(&s, spawn(), until, &plane);
+        let (th, _) = run_sharded_codec(&s, spawn(), until, ShardPlan::new(n), &plane);
         let (sh, _) = run_sharded_codec(&s, spawn(), until, ShardPlan::new(2), &plane);
-        assert_identical(&ls, &th, &format!("{ctx}: lockstep vs threaded"));
+        assert_identical(&ls, &th, &format!("{ctx}: lockstep vs per-process shards"));
         assert_identical(&ls, &sh, &format!("{ctx}: lockstep vs sharded"));
         assert_eq!(
             ls.faults.quarantined(),
@@ -320,8 +324,9 @@ proptest! {
 /// The full overlay composition of the fault-injection plane:
 /// `CorruptionOverlay` (wire corruption) over `CrashRestartOverlay`
 /// (bounded silence windows) over `CrashOverlay` (clean crashes) over
-/// `HealedPartitionAdversary` (transient partitions) — through all three
-/// engines, with identical traces and fault ledgers per seed.
+/// `HealedPartitionAdversary` (transient partitions) — through lockstep
+/// and the sharded engine at one process per shard and at three shards,
+/// with identical traces and fault ledgers per seed.
 #[test]
 fn composed_overlays_survive_all_three_engines() {
     for entropy in 0..3u64 {
@@ -339,10 +344,10 @@ fn composed_overlays_survive_all_three_engines() {
         let spawn = || freshness_spawn(n, &inputs);
 
         let (ls, _) = run_lockstep_codec(&s, spawn(), until, &plane);
-        let (th, _) = run_threaded_codec(&s, spawn(), until, &plane);
+        let (th, _) = run_sharded_codec(&s, spawn(), until, ShardPlan::new(n), &plane);
         let (sh, _) =
             run_sharded_codec(&s, spawn(), until, ShardPlan::new(3).with_window(2), &plane);
-        assert_identical(&ls, &th, &format!("{ctx}: lockstep vs threaded"));
+        assert_identical(&ls, &th, &format!("{ctx}: lockstep vs per-process shards"));
         assert_identical(&ls, &sh, &format!("{ctx}: lockstep vs sharded"));
         assert_eq!(
             ls.faults.quarantined(),

@@ -312,3 +312,49 @@ proptest! {
         prop_assert_eq!(rescanned.rounds.len() as Round, oracle.rounds_executed);
     }
 }
+
+/// FNV-1a over a whole journal: a format pin, not a checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The journal's bytes are pinned: one fixed corrupted Algorithm-1 run
+/// whose short rebase limit produces snapshot cuts, written from round 1
+/// and continued by a resume from a mid-run record boundary. Every other
+/// suite compares traces, so a change in which records are appended, or
+/// in their order, would pass them all and fail only here.
+#[test]
+fn journal_bytes_are_pinned() {
+    const LEN: usize = 6456;
+    const FNV: u64 = 0xdd14_b0f5_61f0_e9ca;
+    let n = 8;
+    let s = StableRootAdversary::new(n, 2, 2, 4, 300, 0x5eed);
+    let plane = CorruptionOverlay::new(0x1ce, 0.2).quiet_after(10);
+    let until = RunUntil::Rounds(24);
+    let mut journal = Vec::new();
+    run_lockstep_journaled(&s, spawn(n), until, &plane, &meta(n, 7), &mut journal).unwrap();
+    let scanned = scan(&journal).unwrap();
+    assert!(
+        scanned.snapshots.len() > 2,
+        "no snapshot cut inside the run"
+    );
+    assert_eq!(
+        (journal.len(), fnv64(&journal)),
+        (LEN, FNV),
+        "journal format changed"
+    );
+
+    // No snapshot is owed at this cut, so the continuation rewrites
+    // exactly the records the original run wrote.
+    let cut = scanned.record_ends[scanned.record_ends.len() / 2];
+    let mut store = journal[..cut].to_vec();
+    let prefix = store.clone();
+    resume_from_journal::<_, KSetAgreement, _, _>(&s, &prefix, until, &plane, &mut store).unwrap();
+    assert_eq!(
+        (store.len(), fnv64(&store)),
+        (LEN, FNV),
+        "continuation from byte {cut} changed the journal"
+    );
+}
