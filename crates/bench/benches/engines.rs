@@ -1,10 +1,6 @@
-//! Lockstep vs sharded engine, and the spin barrier vs
-//! `std::sync::Barrier` — ablation for DESIGN.md §5.4 and
-//! docs/CONCURRENCY.md.
+//! Lockstep vs sharded engine — see docs/CONCURRENCY.md.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
-
-use std::sync::Arc;
 
 use std::time::Duration;
 
@@ -12,7 +8,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sskel_bench::{inputs, ring_with_chords};
 use sskel_kset::KSetAgreement;
-use sskel_model::sync::{ParkingBarrier, SpinBarrier, WindowedBarrier};
 use sskel_model::{run_lockstep, run_sharded, FixedSchedule, RunUntil, ShardPlan};
 
 fn bench_engines(c: &mut Criterion) {
@@ -52,7 +47,7 @@ fn bench_engines(c: &mut Criterion) {
 /// Fixed-horizon runs at large n over a sparse skeleton: the regime the
 /// sharded engine exists for. One thread per process would pay a context
 /// switch per process per round; a coarse shard plan pays at most one park
-/// per shard per window.
+/// per shard per round.
 fn bench_engines_large_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines_large_n");
     group.warm_up_time(Duration::from_millis(300));
@@ -63,13 +58,13 @@ fn bench_engines_large_n(c: &mut Criterion) {
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
     for &shards in &[1usize, 4] {
-        group.bench_function(BenchmarkId::new(format!("sharded{shards}_w4"), n), |b| {
+        group.bench_function(BenchmarkId::new(format!("sharded{shards}"), n), |b| {
             b.iter(|| {
                 run_sharded(
                     &s,
                     KSetAgreement::spawn_all(n, &ins),
                     until,
-                    ShardPlan::new(shards).with_window(4),
+                    ShardPlan::new(shards),
                 )
                 .0
                 .rounds_executed
@@ -79,93 +74,5 @@ fn bench_engines_large_n(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_barriers(c: &mut Criterion) {
-    const ROUNDS: usize = 1000;
-    let mut group = c.benchmark_group("barrier_1000_rounds");
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(1));
-    group.sample_size(10);
-    for &threads in &[2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("spin", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let barrier = Arc::new(SpinBarrier::new(threads));
-                    std::thread::scope(|scope| {
-                        for _ in 0..threads {
-                            let bar = Arc::clone(&barrier);
-                            scope.spawn(move || {
-                                for _ in 0..ROUNDS {
-                                    bar.wait();
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("park", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let barrier = Arc::new(ParkingBarrier::new(threads));
-                    std::thread::scope(|scope| {
-                        for _ in 0..threads {
-                            let bar = Arc::clone(&barrier);
-                            scope.spawn(move || {
-                                for _ in 0..ROUNDS {
-                                    bar.wait();
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("windowed8", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let barrier = Arc::new(WindowedBarrier::new(threads, 8));
-                    std::thread::scope(|scope| {
-                        for _ in 0..threads {
-                            let bar = Arc::clone(&barrier);
-                            scope.spawn(move || {
-                                for r in 1..=ROUNDS as u32 {
-                                    bar.round_end(r);
-                                }
-                            });
-                        }
-                    });
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("std", threads), &threads, |b, &threads| {
-            b.iter(|| {
-                let barrier = Arc::new(std::sync::Barrier::new(threads));
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        let bar = Arc::clone(&barrier);
-                        scope.spawn(move || {
-                            for _ in 0..ROUNDS {
-                                bar.wait();
-                            }
-                        });
-                    }
-                });
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_engines_large_n,
-    bench_barriers
-);
+criterion_group!(benches, bench_engines, bench_engines_large_n);
 criterion_main!(benches);

@@ -191,17 +191,17 @@ fn engines_workloads(out: &mut Vec<Record>) {
     // Large-n fixed-horizon workload over a sparse skeleton: the regime
     // sharding exists for. One thread per process would pay ~n context
     // switches per round on a single core; `sharded` runs the same rounds
-    // on 4 threads with a barrier every 4th round.
+    // on 4 threads with one barrier phase per round.
     let n = 256usize;
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
-    out.push(measure("engines/sharded/256x6r_s4w4", || {
+    out.push(measure("engines/sharded/256x6r_s4", || {
         run_sharded(
             &s,
             KSetAgreement::spawn_all(n, &ins),
             until,
-            ShardPlan::new(4).with_window(4),
+            ShardPlan::new(4),
         )
         .0
         .rounds_executed
@@ -249,7 +249,7 @@ fn socket_workloads(out: &mut Vec<Record>) {
         }));
     }
 
-    // the large-n fixed-horizon workload of `engines/sharded/256x6r_s4w4`,
+    // the large-n fixed-horizon workload of `engines/sharded/256x6r_s4`,
     // now with the inter-shard frames on the wire
     let n = 256usize;
     let s = FixedSchedule::new(ring_with_chords(n, 8));
@@ -260,7 +260,7 @@ fn socket_workloads(out: &mut Vec<Record>) {
             &s,
             KSetAgreement::spawn_all(n, &ins),
             until,
-            SocketPlan::new(4).with_window(4),
+            SocketPlan::new(4),
         )
         .expect("socket run")
         .0
@@ -293,12 +293,12 @@ fn codec_workloads(out: &mut Vec<Record>) {
     let s = FixedSchedule::new(ring_with_chords(n, 8));
     let ins = inputs(n);
     let until = RunUntil::Rounds(6);
-    out.push(measure("engines/sharded_codec/256x6r_s4w4", || {
+    out.push(measure("engines/sharded_codec/256x6r_s4", || {
         run_sharded_codec(
             &s,
             KSetAgreement::spawn_all(n, &ins),
             until,
-            ShardPlan::new(4).with_window(4),
+            ShardPlan::new(4),
             &NoFaults,
         )
         .0
@@ -428,7 +428,7 @@ fn adversary_workloads(out: &mut Vec<Record>) {
         max_rounds: lemma11_bound(&s) + 2,
     };
     out.push(measure("adversary/stable_root_sharded4/32", || {
-        run_sharded(&s, spawn(&ins), until, ShardPlan::new(4).with_window(4))
+        run_sharded(&s, spawn(&ins), until, ShardPlan::new(4))
             .0
             .rounds_executed
     }));

@@ -7,9 +7,9 @@
 //!   observers (used for Figure 1 and the lemma-invariant tests); its one
 //!   round body also drives the durable journal ([`recovery`]);
 //! * [`sharded`] — `k` processes per thread ([`ShardPlan`]), one inbox per
-//!   shard, direct in-memory delivery inside a shard, and a bounded-skew
-//!   [`crate::sync::WindowedBarrier`] under a fixed horizon; trace-identical
-//!   to lockstep. `ShardPlan::new(n)` is the one-thread-per-process
+//!   shard, direct in-memory delivery inside a shard, and one
+//!   [`crate::sync::RoundBarrier`] phase per round; trace-identical to
+//!   lockstep. `ShardPlan::new(n)` is the one-thread-per-process
 //!   configuration;
 //! * [`socket`] — the same shard worker with every inter-shard frame
 //!   carried over a real loopback [`std::net::TcpStream`] ([`SocketPlan`]),
@@ -18,8 +18,10 @@
 //!   [`run_lockstep_codec`] over the same schedule, seed and fault plane.
 //!
 //! The sharded and socket engines share one shard round loop and differ
-//! only in the link between shards: an in-process channel with parking
-//! barriers, or TCP streams with abortable barriers.
+//! only in the link between shards: in-process channels or TCP streams.
+//! Every concurrent engine, the multiplex tick loop included, closes its
+//! rounds on the same abortable [`crate::sync::RoundBarrier`], so a
+//! failing or panicking worker releases its peers instead of hanging them.
 //!
 //! [`multiplex`] layers *agreement as a service* on top of the sharded
 //! partition: `M` concurrent instances on one worker pool
@@ -85,8 +87,8 @@ impl RunUntil {
     }
 
     /// The round the run stops at when the stop condition depends on
-    /// nothing but the round number. The shard worker then needs no
-    /// per-round stop verdict, only the windowed skew bound.
+    /// nothing but the round number. Crash/restart recovery requires one:
+    /// a down process cannot take part in an all-decided verdict.
     #[inline]
     pub(crate) fn static_horizon(self) -> Option<Round> {
         match self {

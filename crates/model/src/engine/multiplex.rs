@@ -29,7 +29,7 @@
 //! `t = 1, 2, …`; an instance admitted at tick `a` executes its local
 //! round `r = t − a + 1` during tick `t`, so staggered admissions
 //! interleave arbitrary local rounds within one tick. Every tick ends with
-//! a single [`ParkingBarrier`] phase, after which **every shard evaluates
+//! a single [`RoundBarrier`] phase, after which **every shard evaluates
 //! every active instance's stop condition independently** — the verdicts
 //! agree because the per-process decided flags are stable across the
 //! barrier (writes happen before it, reads after it, and the next tick's
@@ -49,9 +49,13 @@
 //! stats-exact after rollback, so this engine can simply *not* speculate:
 //! one barrier per tick, broadcasts only for rounds that execute.
 //! `docs/CONCURRENCY.md` has the full protocol and the identity argument.
+//!
+//! A worker that panics aborts the barrier and poisons every peer's inbox
+//! before the panic propagates, so the run fails instead of hanging.
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -66,7 +70,7 @@ use crate::fault::{
     BatchBuilder, BatchReader, CodecTransport, DecodeCache, FaultPlane, FaultStats, Transport,
 };
 use crate::schedule::Schedule;
-use crate::sync::ParkingBarrier;
+use crate::sync::{Aborted, RoundBarrier};
 use crate::trace::{MsgStats, RunTrace};
 use crate::wire::{Wire, WireSized};
 
@@ -174,8 +178,9 @@ struct MuxShardOutcome<A> {
 /// (schedule, algorithms, stop condition, plane).
 ///
 /// # Panics
-/// Panics if an instance's `algs.len() != schedule.n()`, a universe is
-/// empty, or a worker thread panics.
+/// Panics if an instance's `algs.len() != schedule.n()` or a universe is
+/// empty, and re-raises the panic of a worker thread after every peer was
+/// released.
 pub fn run_multiplex_codec<A, P>(
     instances: Vec<MuxInstance<'_, A>>,
     plan: MultiplexPlan,
@@ -242,43 +247,45 @@ where
         .iter()
         .map(|meta| (0..meta.n).map(|_| AtomicBool::new(false)).collect())
         .collect();
-    let barrier = ParkingBarrier::new(shards);
+    let barrier = RoundBarrier::new(shards);
+    // A `None` entry is the poison a panicking worker sends to wake its
+    // peers.
+    let (txs, rxs): (Vec<Sender<Option<Batch>>>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
 
-    let mut txs: Vec<Sender<(Round, Bytes)>> = Vec::with_capacity(shards);
-    let mut rxs: Vec<Option<Receiver<(Round, Bytes)>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut outcomes: Vec<Option<MuxShardOutcome<A>>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for (me, (owned, rx)) in owned.into_iter().zip(rxs.iter_mut()).enumerate() {
-            let rx = rx.take().expect("receiver taken twice");
-            let metas = &metas;
-            let scheds = &scheds;
-            let universes = &universes;
-            let txs = &txs;
-            let barrier = &barrier;
-            let decided = &decided;
-            let transport = &transport;
-            handles.push(scope.spawn(move || {
-                run_mux_shard(
-                    me, shards, metas, scheds, universes, owned, rx, txs, barrier, decided,
-                    transport,
-                )
-            }));
-        }
-        for (s, h) in handles.into_iter().enumerate() {
-            outcomes[s] = Some(h.join().expect("multiplex shard thread panicked"));
-        }
+    let outcomes: Vec<Result<MuxShardOutcome<A>, Aborted>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = owned
+            .into_iter()
+            .zip(rxs)
+            .enumerate()
+            .map(|(me, (owned, rx))| {
+                let (metas, scheds, universes) = (&metas, &scheds, &universes);
+                let (txs, barrier, decided, transport) = (&txs, &barrier, &decided, &transport);
+                scope.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        run_mux_shard(
+                            me, shards, metas, scheds, universes, owned, rx, txs, barrier, decided,
+                            transport,
+                        )
+                    }))
+                    .unwrap_or_else(|panic| {
+                        barrier.abort();
+                        for tx in txs {
+                            let _ = tx.send(None);
+                        }
+                        resume_unwind(panic)
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
     });
 
     let mut outcomes: Vec<MuxShardOutcome<A>> = outcomes
         .into_iter()
-        .map(|o| o.expect("missing shard outcome"))
+        .map(|o| o.expect("workers fail only when a peer panicked, and that panic propagates"))
         .collect();
     let mut results = Vec::with_capacity(m);
     for (i, meta) in metas.iter().enumerate() {
@@ -306,7 +313,10 @@ where
     results
 }
 
-/// The per-worker tick loop.
+/// One tick's batch packet from one shard to another.
+type Batch = (Round, Bytes);
+
+/// The per-worker tick loop. Fails only when a peer worker panicked.
 #[allow(clippy::too_many_arguments)]
 fn run_mux_shard<A, T>(
     me: usize,
@@ -315,12 +325,12 @@ fn run_mux_shard<A, T>(
     scheds: &[&dyn Schedule],
     universes: &[usize],
     owned: Vec<Vec<A>>,
-    rx: Receiver<(Round, Bytes)>,
-    txs: &[Sender<(Round, Bytes)>],
-    barrier: &ParkingBarrier,
+    rx: Receiver<Option<Batch>>,
+    txs: &[Sender<Option<Batch>>],
+    barrier: &RoundBarrier,
     decided: &[Vec<AtomicBool>],
     transport: &T,
-) -> MuxShardOutcome<A>
+) -> Result<MuxShardOutcome<A>, Aborted>
 where
     A: RoundAlgorithm,
     A::Msg: WireSized,
@@ -438,13 +448,13 @@ where
         for (s, builder) in builders.iter_mut().enumerate() {
             if s != me {
                 txs[s]
-                    .send((tick, Bytes::from(builder.encode())))
-                    .expect("recipient shard channel closed");
+                    .send(Some((tick, Bytes::from(builder.encode()))))
+                    .map_err(|_| Aborted)?;
                 builder.clear();
             }
         }
         for _ in 0..shards - 1 {
-            let (pt, payload) = rx.recv().expect("multiplex channel closed mid-tick");
+            let (pt, payload) = rx.recv().ok().flatten().ok_or(Aborted)?;
             debug_assert_eq!(pt, tick, "a shard raced past the tick barrier");
             let mut rd = BatchReader::new(&payload, universes, usize::MAX);
             while let Some(bf) = rd
@@ -505,7 +515,7 @@ where
         // states: this tick's writes are published by the barrier, and no
         // shard can write tick-(t+1) flags before receiving every peer's
         // tick-(t+1) batch — which is only sent after this verdict phase.
-        barrier.wait();
+        barrier.wait_eval(|| false)?;
         active.retain(|&i| {
             let meta = &metas[i];
             let r = tick - meta.admit_at + 1;
@@ -523,7 +533,7 @@ where
             }
         });
         if active.is_empty() && pending.is_empty() {
-            return out;
+            return Ok(out);
         }
         tick += 1;
     }

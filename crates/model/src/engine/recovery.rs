@@ -497,10 +497,11 @@ where
             }
         }
         trace.rounds_executed = r;
-        // Sound for replay: had the original run stopped at a round ≤ cut,
-        // the journal would end there — so replaying its verdict can only
-        // reproduce the original stop, never invent an earlier one.
-        if until.should_stop(r, trace.all_decided()) {
+        // Before the cut the decisions are the snapshot's — those at the
+        // cut, not at `r` — so no verdict can be evaluated there, and none
+        // is needed: the journal holds rounds past `r`, so the original
+        // run did not stop at `r`.
+        if r >= cut && until.should_stop(r, trace.all_decided()) {
             trace.faults.finalize();
             return Ok((trace, algs));
         }
@@ -665,6 +666,30 @@ mod tests {
         assert_traces_identical(&t1, &t2);
         assert_eq!(a1, a2);
         assert_eq!(journal.len(), before, "pure replay appends nothing");
+    }
+
+    #[test]
+    fn resume_of_a_journal_snapshotted_at_the_stop_round_replays_every_round() {
+        // MinFlood decides and snapshots at round 3, so the last durable
+        // snapshot already holds every decision of the round the run
+        // stopped at.
+        let n = 4;
+        let s = FixedSchedule::synchronous(n);
+        let until = RunUntil::AllDecided { max_rounds: 9 };
+        let mut journal = Vec::new();
+        let (t1, a1) =
+            run_lockstep_journaled(&s, spawn(n, 3), until, &NoFaults, &meta(), &mut journal)
+                .unwrap();
+        assert_eq!(t1.rounds_executed, 3);
+        assert_eq!(scan(&journal).unwrap().snapshots.last().unwrap().round, 3);
+        let prefix = journal.clone();
+        let (t2, a2) =
+            resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &NoFaults, &mut journal)
+                .unwrap();
+        assert_eq!(t2.rounds_executed, 3);
+        assert_eq!(t2.msg_stats.broadcasts, 12);
+        assert_traces_identical(&t1, &t2);
+        assert_eq!(a1, a2);
     }
 
     #[test]

@@ -16,39 +16,33 @@
 //! * **intra-shard delivery never touches a channel** — a message between
 //!   two processes of the same shard is an `Arc` clone written directly
 //!   into the recipient's delivery buffer by the owning thread;
-//! * **round closing**, per shard:
-//!   * under [`RunUntil::AllDecided`] every shard broadcasts its round
-//!     `r + 1` messages *speculatively before arriving* at a single
-//!     [`ParkingBarrier`] phase whose leader evaluates the stop condition
-//!     ([`ParkingBarrier::wait_eval`]). The barrier release finds the
-//!     entire next round already queued, so the receive phase never
-//!     blocks and the barrier is the round's only park. The speculative
-//!     broadcast is rolled back from the byte accounting when the verdict
-//!     stops the run; it may query `Schedule::graph_into` and the (pure)
-//!     sending function one round past the stop, which the `Schedule`
-//!     contract allows;
-//!   * under a **fixed horizon** ([`RunUntil::Rounds`]) there is no global
-//!     stop condition to agree on, and a [`WindowedBarrier`] closes only
-//!     every `K`-th round: threads free-run inside a window, and the
-//!     boundary bounds inter-shard round skew to `K − 1` — and with it the
-//!     per-edge channel backlog to `K` payloads (see `docs/CONCURRENCY.md`
-//!     for the argument).
+//! * **one barrier phase per round** — every shard broadcasts its round
+//!   `r + 1` messages *speculatively before arriving* at a
+//!   [`RoundBarrier`] phase whose last arriver evaluates the stop condition
+//!   ([`RoundBarrier::wait_eval`]). The release finds the entire next
+//!   round already queued, so the receive phase never blocks and the
+//!   barrier is the round's only park. The speculative broadcast is rolled
+//!   back from the byte accounting when the verdict stops the run; it may
+//!   query `Schedule::graph_into` and the (pure) sending function one round
+//!   past the stop, which the `Schedule` contract allows. A round whose
+//!   stop needs no verdict — a fixed horizon, or the round cap — ends
+//!   without speculating or waiting, since every shard reaches it alone.
 //!
 //! The shard round loop (`run_shards`) is generic over a crate-private
 //! `Link` — the only thing that differs between this engine and the
-//! socket engine, which runs the same loop over TCP streams and abortable
-//! barriers.
+//! socket engine, which runs the same loop over TCP streams. A worker that
+//! panics aborts the barrier and wakes its peers' inboxes before the panic
+//! propagates, so the run fails instead of hanging.
 //!
 //! Like the other engines, the trace and the final algorithm states are
 //! **bit-identical** to [`super::lockstep`] for the same schedule and
 //! algorithms (asserted by `tests/engines_equiv.rs` across shard counts and
-//! window lengths): runs are fully determined by initial states plus the
-//! graph sequence, and neither sharding nor windowing introduces
-//! nondeterminism.
+//! horizons): runs are fully determined by initial states plus the graph
+//! sequence, and sharding introduces no nondeterminism.
 
 use std::collections::VecDeque;
-use std::convert::Infallible;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -59,7 +53,7 @@ use crate::algorithm::{Received, RoundAlgorithm, Value};
 use crate::engine::{settle, RunUntil};
 use crate::fault::{ArcTransport, CodecTransport, Delivery, FaultPlane, FaultStats, Transport};
 use crate::schedule::Schedule;
-use crate::sync::{ParkingBarrier, WindowedBarrier};
+use crate::sync::{Aborted, RoundBarrier};
 use crate::trace::{MsgStats, RunTrace};
 use crate::wire::{Wire, WireSized};
 
@@ -69,39 +63,16 @@ pub struct ShardPlan {
     /// Number of worker threads; each owns a contiguous range of processes.
     /// Clamped to `n` at run time (a shard never owns zero processes).
     pub shards: usize,
-    /// Bounded-skew window `K` for fixed-horizon runs: a full barrier phase
-    /// closes every `K`-th round, so shards drift at most `K − 1` rounds
-    /// apart and no channel ever holds more than `K` undelivered payloads
-    /// per edge. Ignored under [`RunUntil::AllDecided`], which synchronizes
-    /// every round to evaluate the stop condition. `1` = lockstep-strict,
-    /// larger = fewer parks.
-    pub window: Round,
 }
 
 impl ShardPlan {
-    /// The default bounded-skew window `K` (see [`ShardPlan::window`]).
-    pub const DEFAULT_WINDOW: Round = 8;
-
-    /// A plan with `shards` worker threads and the default window.
+    /// A plan with `shards` worker threads.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        ShardPlan {
-            shards,
-            window: Self::DEFAULT_WINDOW,
-        }
-    }
-
-    /// Replaces the bounded-skew window.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn with_window(mut self, window: Round) -> Self {
-        assert!(window >= 1, "window length must be at least one round");
-        self.window = window;
-        self
+        ShardPlan { shards }
     }
 
     /// One shard per available core (clamped to `n`): the configuration
@@ -146,8 +117,9 @@ pub(crate) type Packet<F> = (Round, ProcessId, ProcessId, F);
 
 /// How one shard worker reaches the others: where its inter-shard packets
 /// go, where they come from, and how a round closes. The in-process link
-/// ([`ChannelLink`]) cannot fail; the socket engine's link returns typed
-/// errors, and has already aborted the peer shards by the time it does.
+/// ([`ChannelLink`]) fails only when a peer shard panicked; the socket
+/// engine's link returns typed errors, and has already aborted the peer
+/// shards by the time it does.
 pub(crate) trait Link<F>: Send {
     /// Why the link failed.
     type Error: Send;
@@ -159,53 +131,52 @@ pub(crate) trait Link<F>: Send {
     /// shard assembles round `r` (the packet may belong to a later round).
     fn recv(&mut self, r: Round) -> Result<Packet<F>, Self::Error>;
 
-    /// Ends round `r` of a fixed-horizon run: a barrier phase when `r`
-    /// closes a skew window, free otherwise.
-    fn round_end(&mut self, r: Round) -> Result<(), Self::Error>;
-
-    /// Closes a round of an all-decided run with one barrier phase whose
-    /// last arriver evaluates `stop`; every shard returns its verdict.
+    /// Closes a round with one barrier phase whose last arriver evaluates
+    /// `stop`; every shard returns its verdict.
     fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Self::Error>;
+
+    /// Releases every peer shard this run may leave blocked, at the
+    /// barrier or on its inbox. The worker calls it when it panics.
+    fn abort(&mut self);
 
     /// Whether `e` only echoes another shard's failure. A failed run
     /// reports the lowest-indexed shard's error that is not an echo.
     fn is_echo(e: &Self::Error) -> bool;
 }
 
-/// The in-process link: one mpsc inbox per shard, a [`ParkingBarrier`]
-/// for all-decided verdicts and a [`WindowedBarrier`] for the skew bound.
+/// The in-process link: one mpsc inbox per shard and a shared
+/// [`RoundBarrier`]. A `None` entry is the poison a panicking shard sends
+/// to wake its peers.
 struct ChannelLink<'a, F> {
-    inbox: Receiver<Packet<F>>,
-    outboxes: &'a [Sender<Packet<F>>],
-    barrier: &'a ParkingBarrier,
-    windowed: &'a WindowedBarrier,
+    inbox: Receiver<Option<Packet<F>>>,
+    outboxes: &'a [Sender<Option<Packet<F>>>],
+    barrier: &'a RoundBarrier,
 }
 
 impl<F: Send> Link<F> for ChannelLink<'_, F> {
-    type Error = Infallible;
+    type Error = Aborted;
 
-    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Infallible> {
-        self.outboxes[to]
-            .send(packet)
-            .expect("recipient shard channel closed");
-        Ok(())
+    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Aborted> {
+        self.outboxes[to].send(Some(packet)).map_err(|_| Aborted)
     }
 
-    fn recv(&mut self, _r: Round) -> Result<Packet<F>, Infallible> {
-        Ok(self.inbox.recv().expect("message channel closed mid-round"))
+    fn recv(&mut self, _r: Round) -> Result<Packet<F>, Aborted> {
+        self.inbox.recv().ok().flatten().ok_or(Aborted)
     }
 
-    fn round_end(&mut self, r: Round) -> Result<(), Infallible> {
-        self.windowed.round_end(r);
-        Ok(())
+    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Aborted> {
+        self.barrier.wait_eval(stop)
     }
 
-    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Infallible> {
-        Ok(self.barrier.wait_eval(stop))
+    fn abort(&mut self) {
+        self.barrier.abort();
+        for outbox in self.outboxes {
+            let _ = outbox.send(None);
+        }
     }
 
-    fn is_echo(e: &Infallible) -> bool {
-        match *e {}
+    fn is_echo(_: &Aborted) -> bool {
+        true
     }
 }
 
@@ -284,21 +255,18 @@ where
     T: Transport<A::Msg>,
 {
     let ranges = plan.ranges(schedule.n());
-    let shards = ranges.len();
-    let barrier = ParkingBarrier::new(shards);
-    let windowed = WindowedBarrier::new(shards, plan.window);
-    let (outboxes, inboxes): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
+    let barrier = RoundBarrier::new(ranges.len());
+    let (outboxes, inboxes): (Vec<_>, Vec<_>) = ranges.iter().map(|_| unbounded()).unzip();
     let links = inboxes
         .into_iter()
         .map(|inbox| ChannelLink {
             inbox,
             outboxes: &outboxes,
             barrier: &barrier,
-            windowed: &windowed,
         })
         .collect();
-    let Ok(out) = run_shards(schedule, algs, until, &ranges, links, transport);
-    out
+    run_shards(schedule, algs, until, &ranges, links, transport)
+        .expect("in-process shards fail only when a peer panicked, and that panic propagates")
 }
 
 /// Runs one shard worker per range of `ranges` on its own thread, the
@@ -310,7 +278,8 @@ where
 /// shard's failure ([`Link::is_echo`]), or else the first echo.
 ///
 /// # Panics
-/// Panics if `algs.len() != schedule.n()` or a worker thread panics.
+/// Panics if `algs.len() != schedule.n()`, and re-raises the panic of a
+/// worker thread after every peer was released ([`Link::abort`]).
 pub(crate) fn run_shards<S, A, T, L>(
     schedule: &S,
     algs: Vec<A>,
@@ -355,20 +324,26 @@ where
             .into_iter()
             .zip(links)
             .zip(ranges)
-            .map(|((owned, link), range)| {
+            .map(|((owned, mut link), range)| {
                 let range = range.clone();
                 let shard_of = &shard_of;
                 let decided = &decided;
                 scope.spawn(move || {
-                    run_shard(
-                        schedule, range, owned, link, shard_of, decided, until, transport,
-                    )
+                    catch_unwind(AssertUnwindSafe(|| {
+                        run_shard(
+                            schedule, range, owned, &mut link, shard_of, decided, until, transport,
+                        )
+                    }))
+                    .unwrap_or_else(|panic| {
+                        link.abort();
+                        resume_unwind(panic)
+                    })
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("shard thread panicked"))
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     });
 
@@ -408,7 +383,7 @@ fn run_shard<S, A, T, L>(
     schedule: &S,
     range: Range<usize>,
     mut algs: Vec<A>,
-    mut link: L,
+    link: &mut L,
     shard_of: &[usize],
     decided: &[AtomicBool],
     until: RunUntil,
@@ -445,7 +420,7 @@ where
     // 1. Send along the out-edges of G^r (round 1 here; later rounds
     //    broadcast at the close of the previous round, see step 4).
     stats += &broadcast(
-        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, &mut link, shard_of, transport,
+        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, link, shard_of, transport,
     )?;
 
     loop {
@@ -509,82 +484,39 @@ where
             }
         }
 
-        // 4. Close the round.
-        let stop = match until.static_horizon() {
-            // Fixed horizon: every shard stops at the same round without
-            // coordination; the windowed barrier only bounds skew (and so
-            // channel backlog) to the plan's window length.
-            //
-            // Partial final window (`horizon % K != 0`): the last full
-            // barrier fires at `K·⌊(horizon − 1)/K⌋` and the remaining
-            // rounds free-run on every shard. This cannot stall or skew:
-            //
-            // * `round_end(r)` is reached for exactly `r ∈ [1, horizon)` on
-            //   every shard — the same set, since the horizon is global —
-            //   so barrier participation stays symmetric through the
-            //   partial window (no shard waits on a phase a peer skipped);
-            // * a shard at round `r` has already broadcast every round
-            //   `≤ r` (round `r + 1` is sent *before* this window check),
-            //   so any packet a slower shard can block on in step 2 is in
-            //   its inbox before the faster shard could possibly park —
-            //   and an exiting shard's outbound side stays alive in the
-            //   caller's scope, keeping queued packets deliverable after
-            //   it returns.
-            //
-            // `tests/engines_equiv.rs` pins the resulting traces against
-            // lockstep for K ∈ {2, 7} with non-divisible horizons.
-            Some(horizon) => {
-                let stop = r >= horizon;
-                if !stop {
-                    stats += &broadcast(
-                        schedule,
-                        &range,
-                        &algs,
-                        r + 1,
-                        &mut g,
-                        &mut rcvs,
-                        &mut stash,
-                        &mut link,
-                        shard_of,
-                        transport,
-                    )?;
-                    link.round_end(r)?;
-                }
-                stop
+        // 4. Close the round. A stop that needs no verdict (a fixed
+        // horizon, or the round cap) is reached by every shard on its own.
+        // Otherwise broadcast round r + 1 *speculatively before arriving*,
+        // then close the round with a single barrier phase — the last shard
+        // evaluates the stop condition for everyone.
+        let stop = until.should_stop(r, false) || {
+            let spec = broadcast(
+                schedule,
+                &range,
+                &algs,
+                r + 1,
+                &mut g,
+                &mut rcvs,
+                &mut stash,
+                link,
+                shard_of,
+                transport,
+            )?;
+            stats += &spec;
+            let stop = link.close(|| {
+                // ordering: Acquire in the leader's verdict, after every
+                // shard arrived — pairs with each shard's Release store
+                // of its decided flags in step 3.
+                let all = decided.iter().all(|d| d.load(Ordering::Acquire));
+                until.should_stop(r, all)
+            })?;
+            if stop {
+                // The speculative round-(r + 1) broadcast never executes:
+                // take it back out of the accounting (its packets die
+                // unread with the inboxes and the local delivery buffers).
+                stats -= &spec;
             }
-            // All-decided: broadcast round r + 1 *speculatively before
-            // arriving*, then close the round with a single barrier phase —
-            // the last shard evaluates the stop condition for everyone.
-            None => {
-                let spec = broadcast(
-                    schedule,
-                    &range,
-                    &algs,
-                    r + 1,
-                    &mut g,
-                    &mut rcvs,
-                    &mut stash,
-                    &mut link,
-                    shard_of,
-                    transport,
-                )?;
-                stats += &spec;
-                let stop = link.close(|| {
-                    // ordering: Acquire in the leader's verdict, after every
-                    // shard arrived — pairs with each shard's Release store
-                    // of its decided flags in step 3.
-                    let all = decided.iter().all(|d| d.load(Ordering::Acquire));
-                    until.should_stop(r, all)
-                })?;
-                if stop {
-                    // The speculative round-(r + 1) broadcast never
-                    // executes: take it back out of the accounting (its
-                    // packets die unread with the inboxes and the local
-                    // delivery buffers).
-                    stats -= &spec;
-                }
-                stop
-            }
+            stop
         };
         if stop {
             return Ok(ShardOutcome {
@@ -677,8 +609,6 @@ mod tests {
         assert_eq!(plan.ranges(8), vec![0..3, 3..6, 6..8]);
         assert_eq!(plan.ranges(2), vec![0..1, 1..2]); // clamped to n
         assert_eq!(ShardPlan::new(1).ranges(5), vec![0..5]);
-        let plan = ShardPlan::new(4).with_window(3);
-        assert_eq!(plan.window, 3);
         assert!(ShardPlan::auto(6).shards >= 1);
     }
 
@@ -700,8 +630,8 @@ mod tests {
 
     #[test]
     fn sharded_matches_lockstep_on_dynamic_graphs_under_fixed_horizon() {
-        // ring in odd rounds via prefix, complete afterwards; exercise the
-        // windowed barrier with a window that does not divide the horizon.
+        // ring in odd rounds via prefix, complete afterwards; every horizon
+        // up to the run's, including the barrier-free h = 1.
         let n = 6;
         let ring = {
             let mut g = Digraph::empty(n);
@@ -715,13 +645,12 @@ mod tests {
             vec![ring.clone(), Digraph::complete(n), ring],
             Digraph::complete(n),
         );
-        let until = RunUntil::Rounds(8);
-        let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
-        for window in [1u32, 3, 8, 100] {
-            let plan = ShardPlan::new(3).with_window(window);
-            let (t2, _) = run_sharded(&s, spawn(n, 5), until, plan);
-            assert_eq!(t1.decisions, t2.decisions, "window={window}");
-            assert_eq!(t1.msg_stats, t2.msg_stats, "window={window}");
+        for horizon in 1..=8 {
+            let until = RunUntil::Rounds(horizon);
+            let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
+            let (t2, _) = run_sharded(&s, spawn(n, 5), until, ShardPlan::new(3));
+            assert_eq!(t1.decisions, t2.decisions, "horizon={horizon}");
+            assert_eq!(t1.msg_stats, t2.msg_stats, "horizon={horizon}");
             assert_eq!(t1.rounds_executed, t2.rounds_executed);
         }
     }

@@ -23,11 +23,10 @@
 //!   always find a draining peer).
 //! * **control plane** — round closing stays in shared memory: the shard
 //!   workers are the sharded engine's own round loop, run over a socket
-//!   link, so the speculative-broadcast + leader-verdict protocol under
-//!   [`RunUntil::AllDecided`] and the windowed skew bound under a fixed
-//!   horizon are the same code — but on *abortable* barriers, so one
-//!   shard's socket failure releases every peer with a typed error
-//!   instead of a hang.
+//!   link, so the speculative-broadcast + leader-verdict protocol is the
+//!   same code on the same [`RoundBarrier`]. One shard's socket failure
+//!   (or panic) aborts it and wakes every inbox, releasing each peer with
+//!   a typed error instead of a hang.
 //! * **failure domain** — socket-level trouble is **transport**-fatal
 //!   and typed ([`SocketError`]): a mid-frame stall past the read
 //!   timeout, a disconnect inside a packet, junk or oversized stream
@@ -53,7 +52,6 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -66,14 +64,15 @@ use crate::fault::{
     encode_packet, CodecTransport, FaultPlane, FramedPacket, NoFaults, PacketBuffer,
 };
 use crate::schedule::Schedule;
+use crate::sync::RoundBarrier;
 use crate::trace::RunTrace;
 use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError};
 
 /// How [`run_socket`] divides the system across shard threads and what
 /// its socket timeouts are.
 ///
-/// The shard/window semantics are identical to [`ShardPlan`]; the added
-/// knobs govern the TCP layer. `handshake_delays` is a **test hook**: it
+/// The shard semantics are identical to [`ShardPlan`]; the added knobs
+/// govern the TCP layer. `handshake_delays` is a **test hook**: it
 /// makes shard `s` sleep before opening its outbound connections, which
 /// is how the robustness suite simulates a peer that connects late
 /// (within the handshake budget the run completes normally; past it, the
@@ -83,9 +82,6 @@ pub struct SocketPlan {
     /// Number of shard threads; each owns a contiguous range of
     /// processes (clamped to `n` at run time).
     pub shards: usize,
-    /// Bounded-skew window for fixed-horizon runs (see
-    /// [`ShardPlan::window`]).
-    pub window: Round,
     /// Per-connection read timeout. A reader idling *between* packets
     /// just re-polls; a reader starving **inside** a packet for this
     /// long fails the connection with [`SocketError::Stalled`].
@@ -105,8 +101,8 @@ pub struct SocketPlan {
 }
 
 impl SocketPlan {
-    /// A plan with `shards` shard threads and default window, timeouts
-    /// and frame cap.
+    /// A plan with `shards` shard threads and default timeouts and frame
+    /// cap.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -114,24 +110,12 @@ impl SocketPlan {
         assert!(shards >= 1, "need at least one shard");
         SocketPlan {
             shards,
-            window: ShardPlan::DEFAULT_WINDOW,
             read_timeout: Duration::from_secs(1),
             round_timeout: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(10),
             max_frame: 1 << 26,
             handshake_delays: Vec::new(),
         }
-    }
-
-    /// Replaces the bounded-skew window.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    #[must_use]
-    pub fn with_window(mut self, window: Round) -> Self {
-        assert!(window >= 1, "window length must be at least one round");
-        self.window = window;
-        self
     }
 
     /// Replaces the per-connection read timeout.
@@ -181,9 +165,7 @@ impl SocketPlan {
     /// The contiguous per-shard process ranges (identical partition to
     /// the sharded engine).
     fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        ShardPlan::new(self.shards)
-            .with_window(self.window)
-            .ranges(n)
+        ShardPlan::new(self.shards).ranges(n)
     }
 }
 
@@ -392,111 +374,29 @@ impl PacketStream {
 /// that killed its connection.
 type Inbound = Result<Packet<Bytes>, SocketError>;
 
-/// A generation barrier whose waits can fail: like
-/// [`crate::sync::ParkingBarrier::wait_eval`] but any participant can
-/// [`AbortableBarrier::abort`] the whole barrier, releasing every
-/// current and future waiter with an error — a shard whose socket died
-/// must never leave its peers parked forever. Socket rounds park in the
-/// kernel anyway (reads, channel waits), so this barrier skips the spin
-/// phase and goes straight to a `Condvar`.
-struct AbortableBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    parties: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    verdict: bool,
-    aborted: bool,
-}
-
-impl AbortableBarrier {
-    fn new(parties: usize) -> Self {
-        AbortableBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                verdict: false,
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            parties,
-        }
-    }
-
-    /// Waits for all parties; the last arriver evaluates `eval` and all
-    /// parties return its verdict — unless the barrier was aborted, in
-    /// which case every waiter gets `Err(Aborted)`.
-    fn wait_eval(&self, eval: impl FnOnce() -> bool) -> Result<bool, SocketError> {
-        let mut st = self.state.lock().expect("barrier mutex poisoned");
-        if st.aborted {
-            return Err(SocketError::Aborted);
-        }
-        let gen = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            let verdict = eval();
-            st.verdict = verdict;
-            drop(st);
-            self.cv.notify_all();
-            return Ok(verdict);
-        }
-        loop {
-            st = self.cv.wait(st).expect("barrier mutex poisoned");
-            if st.aborted {
-                return Err(SocketError::Aborted);
-            }
-            if st.generation != gen {
-                return Ok(st.verdict);
-            }
-        }
-    }
-
-    fn wait(&self) -> Result<(), SocketError> {
-        self.wait_eval(|| false).map(|_| ())
-    }
-
-    /// Permanently fails the barrier, waking every waiter.
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("barrier mutex poisoned");
-        st.aborted = true;
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
 /// The socket engine's [`Link`]: inter-shard packets are written to this
 /// shard's outbound TCP streams, inbound ones arrive through its reader
 /// threads' inbox under the per-round deadline, and rounds close on the
-/// abortable barriers. Every error it raises itself first aborts the run
-/// (the abort flag plus both barriers), so no peer is left parked.
+/// shared [`RoundBarrier`]. Every error it raises itself first aborts the
+/// run ([`Link::abort`]), so no peer is left parked.
 struct SocketLink<'a> {
     me: usize,
     inbox: Receiver<Inbound>,
+    /// Every shard's inbox, indexed by shard: aborting wakes them all.
+    inboxes: &'a [Sender<Inbound>],
     /// Outbound streams indexed by destination shard (`None` for `me`).
     outs: Vec<Option<TcpStream>>,
-    abort: &'a AtomicBool,
-    barrier: &'a AbortableBarrier,
-    windowed: &'a AbortableBarrier,
-    window: Round,
+    aborted: &'a AtomicBool,
+    barrier: &'a RoundBarrier,
     round_timeout: Duration,
     /// The round being assembled and the instant its budget runs out.
     deadline: (Round, Instant),
 }
 
 impl SocketLink<'_> {
-    /// Marks the run aborted, releases every peer, and returns `e`.
-    fn fail<T>(&self, e: SocketError) -> Result<T, SocketError> {
-        // ordering: Release — pairs with the reader threads' Acquire poll
-        // of the flag; it publishes nothing else, the barriers' mutex
-        // carries the abort to the shards.
-        self.abort.store(true, Ordering::Release);
-        self.barrier.abort();
-        self.windowed.abort();
+    /// Aborts the run and returns `e`.
+    fn fail<T>(&mut self, e: SocketError) -> Result<T, SocketError> {
+        self.abort();
         Err(e)
     }
 }
@@ -533,15 +433,23 @@ impl Link<Bytes> for SocketLink<'_> {
         }
     }
 
-    fn round_end(&mut self, r: Round) -> Result<(), SocketError> {
-        if r.is_multiple_of(self.window) {
-            self.windowed.wait()?;
-        }
-        Ok(())
+    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, SocketError> {
+        self.barrier
+            .wait_eval(stop)
+            .map_err(|_| SocketError::Aborted)
     }
 
-    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, SocketError> {
-        self.barrier.wait_eval(stop)
+    /// Marks the run aborted (the reader threads poll the flag), fails
+    /// the barrier, and posts [`SocketError::Aborted`] to every inbox.
+    fn abort(&mut self) {
+        // ordering: Release — pairs with the reader threads' Acquire poll
+        // of the flag; it publishes nothing else, the barrier's mutex and
+        // the inboxes carry the abort to the shards.
+        self.aborted.store(true, Ordering::Release);
+        self.barrier.abort();
+        for inbox in self.inboxes {
+            let _ = inbox.send(Err(SocketError::Aborted));
+        }
     }
 
     fn is_echo(e: &SocketError) -> bool {
@@ -628,25 +536,23 @@ where
 
     // --- run ----------------------------------------------------------
     let abort = AtomicBool::new(false);
-    let barrier = AbortableBarrier::new(shards);
-    let windowed = AbortableBarrier::new(shards);
-    let mut txs: Vec<Sender<Inbound>> = Vec::with_capacity(shards);
-    let mut links = Vec::with_capacity(shards);
-    for (me, outs) in outs.into_iter().enumerate() {
-        let (tx, inbox) = unbounded();
-        txs.push(tx);
-        links.push(SocketLink {
+    let barrier = RoundBarrier::new(shards);
+    let (txs, inboxes): (Vec<Sender<Inbound>>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
+    let links = outs
+        .into_iter()
+        .zip(inboxes)
+        .enumerate()
+        .map(|(me, (outs, inbox))| SocketLink {
             me,
             inbox,
+            inboxes: &txs,
             outs,
-            abort: &abort,
+            aborted: &abort,
             barrier: &barrier,
-            windowed: &windowed,
-            window: plan.window,
             round_timeout: plan.round_timeout,
             deadline: (0, Instant::now()),
-        });
-    }
+        })
+        .collect();
 
     std::thread::scope(|scope| {
         // One reader thread per inbound connection: parse packets off
@@ -670,7 +576,8 @@ where
         }
         // One failing shard aborts the others; the root cause (the
         // lowest-indexed shard with a non-`Aborted` error) is reported,
-        // not the echo.
+        // not the echo. A panicking shard aborts them too, then the panic
+        // propagates.
         run_shards(
             schedule,
             algs,
@@ -852,7 +759,6 @@ fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use sskel_graph::{Digraph, ProcessId};
 
@@ -905,13 +811,13 @@ mod tests {
             vec![ring.clone(), Digraph::complete(n), ring],
             Digraph::complete(n),
         );
-        let until = RunUntil::Rounds(8);
-        let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
-        for window in [1u32, 3, 8] {
-            let plan = SocketPlan::new(3).with_window(window);
-            let (t2, _) = run_socket(&s, spawn(n, 5), until, plan).expect("socket run");
-            assert_eq!(t1.decisions, t2.decisions, "window={window}");
-            assert_eq!(t1.msg_stats, t2.msg_stats, "window={window}");
+        for horizon in [1, 3, 8] {
+            let until = RunUntil::Rounds(horizon);
+            let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
+            let (t2, _) =
+                run_socket(&s, spawn(n, 5), until, SocketPlan::new(3)).expect("socket run");
+            assert_eq!(t1.decisions, t2.decisions, "horizon={horizon}");
+            assert_eq!(t1.msg_stats, t2.msg_stats, "horizon={horizon}");
             assert_eq!(t1.rounds_executed, t2.rounds_executed);
         }
     }
@@ -957,33 +863,13 @@ mod tests {
     #[test]
     fn plan_builders_validate() {
         let plan = SocketPlan::new(3)
-            .with_window(2)
             .with_read_timeout(Duration::from_millis(10))
             .with_round_timeout(Duration::from_millis(20))
             .with_handshake_timeout(Duration::from_millis(30))
             .with_handshake_delay(2, Duration::from_millis(5));
-        assert_eq!(plan.window, 2);
+        assert_eq!(plan.round_timeout, Duration::from_millis(20));
         assert_eq!(plan.handshake_delays.len(), 3);
         assert_eq!(plan.handshake_delays[2], Duration::from_millis(5));
         assert_eq!(plan.handshake_delays[0], Duration::ZERO);
-    }
-
-    #[test]
-    fn abortable_barrier_releases_waiters_on_abort() {
-        let b = Arc::new(AbortableBarrier::new(2));
-        let waiter = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || b.wait())
-        };
-        // Give the waiter a moment to park, then abort instead of
-        // arriving.
-        std::thread::sleep(Duration::from_millis(20));
-        b.abort();
-        assert!(matches!(
-            waiter.join().expect("waiter panicked"),
-            Err(SocketError::Aborted)
-        ));
-        // Future waits fail immediately.
-        assert!(matches!(b.wait(), Err(SocketError::Aborted)));
     }
 }

@@ -14,8 +14,7 @@
 //! * [`engine::run_sharded`] — `k` processes per thread
 //!   ([`engine::ShardPlan`]; `ShardPlan::new(n)` gives every process its
 //!   own thread): one inbox per shard, channel-free delivery inside a
-//!   shard, at most one parking barrier per round, and a bounded-skew
-//!   windowed barrier ([`sync::WindowedBarrier`]) under a fixed horizon —
+//!   shard, and at most one [`sync::RoundBarrier`] phase per round —
 //!   producing identical traces;
 //! * [`engine::run_socket`] — the same shard worker with every
 //!   inter-shard frame sealed and carried over real loopback TCP

@@ -157,13 +157,11 @@ pub fn hostile_packet_stream(reader: TcpStream, n: usize) -> crate::engine::sock
         .expect("packet stream")
 }
 
-/// The conformance suite's seed-derived socket plan: shard count and
-/// window are read from different bit ranges of `seed` than the sharded
-/// column's plan, so the two columns exercise distinct partitions of the
-/// same run.
+/// The conformance suite's seed-derived socket plan: the shard count is
+/// read from different bits of `seed` than the sharded column's plan, so
+/// the two columns exercise distinct partitions of the same run.
 pub fn seeded_socket_plan(seed: u64) -> crate::engine::SocketPlan {
     crate::engine::SocketPlan::new(1 + ((seed >> 8) % 3) as usize)
-        .with_window([1u32, 2, 7][(seed >> 24) as usize % 3])
 }
 
 /// The adversary families the conformance suite iterates over.

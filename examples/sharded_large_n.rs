@@ -4,9 +4,8 @@
 //! small machine: every simulated round costs hundreds of context switches,
 //! and channel-per-process delivery thrashes the scheduler. The sharded
 //! engine assigns 64 processes to each of 4 threads, delivers intra-shard
-//! messages by direct `Arc` hand-off (no channel), and closes only every
-//! 4th round with a windowed barrier — bounding the inter-shard round skew
-//! (and with it the channel backlog) without paying a barrier per round.
+//! messages by direct `Arc` hand-off (no channel), and closes each round
+//! with one barrier phase per thread — 4 parks per round instead of 256.
 //!
 //! The run is then checked against the lockstep engine: traces and final
 //! estimator states must be identical, because a run of the paper's model
@@ -29,14 +28,13 @@ fn main() {
     // rounds, but the estimator does its full per-round work from round 1,
     // which is what we want to time.
     let until = RunUntil::Rounds(horizon);
-    let plan = ShardPlan::new(4).with_window(4);
+    let plan = ShardPlan::new(4);
 
     println!(
         "running Algorithm 1: n = {n} processes on {} threads \
-         ({} processes per shard, barrier every {} rounds)…",
+         ({} processes per shard)…",
         plan.shards,
-        n / plan.shards,
-        plan.window
+        n / plan.shards
     );
     let t0 = Instant::now();
     let (sharded, finals_sharded) =

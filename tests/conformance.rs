@@ -62,13 +62,7 @@ fn conform(cfg: &AdversaryConfig) -> Result<(), TestCaseError> {
     // One thread per process: every delivery crosses a channel.
     let (per_process, _) = run_sharded(s.as_ref(), spawn(), until, ShardPlan::new(n));
     let shards = 1 + (cfg.seed % 3) as usize;
-    let window = [1u32, 2, 7][(cfg.seed >> 16) as usize % 3];
-    let (sharded, _) = run_sharded(
-        s.as_ref(),
-        spawn(),
-        until,
-        ShardPlan::new(shards).with_window(window),
-    );
+    let (sharded, _) = run_sharded(s.as_ref(), spawn(), until, ShardPlan::new(shards));
 
     // Fourth column: the same case over real loopback TCP. The plan is
     // derived from different seed bits than the sharded plan
@@ -238,13 +232,13 @@ fn composed_adversaries_conform() {
         let spawn = || KSetAgreement::spawn_all_with(n, &inputs, DecisionRule::FreshnessGuarded);
         let (a, _) = run_lockstep(&s, spawn(), until);
         let (b, _) = run_sharded(&s, spawn(), until, ShardPlan::new(n));
-        let (c, _) = run_sharded(&s, spawn(), until, ShardPlan::new(3).with_window(2));
+        let (c, _) = run_sharded(&s, spawn(), until, ShardPlan::new(3));
         assert_eq!(a.decisions, b.decisions, "seed={seed:#x}");
         assert_eq!(a.decisions, c.decisions, "seed={seed:#x}");
         assert_eq!(a.msg_stats, b.msg_stats, "seed={seed:#x}");
         assert_eq!(a.msg_stats, c.msg_stats, "seed={seed:#x}");
         if loopback_available() {
-            let (d, _) = run_socket(&s, spawn(), until, SocketPlan::new(3).with_window(2))
+            let (d, _) = run_socket(&s, spawn(), until, SocketPlan::new(3))
                 .unwrap_or_else(|e| panic!("seed={seed:#x}: socket engine failed: {e}"));
             assert_eq!(a.decisions, d.decisions, "seed={seed:#x}");
             assert_eq!(a.msg_stats, d.msg_stats, "seed={seed:#x}");

@@ -2,7 +2,7 @@
 //! estimator states to the deterministic lockstep engine on arbitrary
 //! schedules, both *threaded* — one thread and one inbox per process
 //! (`ShardPlan::new(n)`), so every delivery crosses a channel — and with
-//! `k` processes per thread and windowed barriers. The paper's runs are
+//! `k` processes per thread. The paper's runs are
 //! fully determined by initial states and the communication-graph
 //! sequence, so any divergence is an engine bug.
 
@@ -69,8 +69,7 @@ proptest! {
     }
 
     /// The acceptance sweep: sharded == lockstep **estimator states** for
-    /// every tested (n, shards, K), under the fixed-horizon mode where the
-    /// windowed barrier (skew ≤ K − 1) is actually in play.
+    /// every tested (n, shards, horizon) under a fixed horizon.
     #[test]
     fn sharded_estimator_states_match_lockstep_across_windows(
         seed in any::<u64>(),
@@ -97,26 +96,22 @@ proptest! {
         let until = RunUntil::Rounds(rounds);
         let (a, finals_a) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
 
-        for window in [1u32, 2, 7] {
-            let plan = ShardPlan::new(shards).with_window(window);
-            let (b, finals_b) =
-                run_sharded(&s, KSetAgreement::spawn_all(n, &inputs), until, plan);
-            prop_assert_eq!(&a.decisions, &b.decisions, "window={}", window);
-            prop_assert_eq!(a.msg_stats, b.msg_stats, "window={}", window);
-            prop_assert_eq!(a.rounds_executed, b.rounds_executed);
-            for (x, y) in finals_a.iter().zip(&finals_b) {
-                prop_assert_eq!(x.id(), y.id());
-                prop_assert_eq!(x.estimate(), y.estimate(), "window={}", window);
-                prop_assert_eq!(x.pt(), y.pt(), "window={}", window);
-                prop_assert_eq!(x.approx_graph(), y.approx_graph(), "window={}", window);
-                prop_assert_eq!(x.has_decided(), y.has_decided());
-                prop_assert_eq!(x.decision_path(), y.decision_path());
-            }
+        let plan = ShardPlan::new(shards);
+        let (b, finals_b) = run_sharded(&s, KSetAgreement::spawn_all(n, &inputs), until, plan);
+        prop_assert_eq!(&a.decisions, &b.decisions);
+        prop_assert_eq!(a.msg_stats, b.msg_stats);
+        prop_assert_eq!(a.rounds_executed, b.rounds_executed);
+        for (x, y) in finals_a.iter().zip(&finals_b) {
+            prop_assert_eq!(x.id(), y.id());
+            prop_assert_eq!(x.estimate(), y.estimate());
+            prop_assert_eq!(x.pt(), y.pt());
+            prop_assert_eq!(x.approx_graph(), y.approx_graph());
+            prop_assert_eq!(x.has_decided(), y.has_decided());
+            prop_assert_eq!(x.decision_path(), y.decision_path());
         }
     }
 
-    /// One thread per process under a fixed horizon, closed by the
-    /// windowed barrier.
+    /// One thread per process under a fixed horizon.
     #[test]
     fn threaded_equals_lockstep_with_fixed_round_budget(
         seed in any::<u64>(),
@@ -168,7 +163,7 @@ fn final_states_identical_between_engines() {
         &s,
         KSetAgreement::spawn_all(6, &inputs),
         until,
-        ShardPlan::new(2).with_window(5),
+        ShardPlan::new(2),
     );
     for finals in [&finals_b, &finals_c] {
         for (a, b) in finals_a.iter().zip(finals.iter()) {
@@ -182,38 +177,34 @@ fn final_states_identical_between_engines() {
     }
 }
 
-/// Fixed horizons **not divisible** by the bounded-skew window exercise the
-/// final partial window of the sharded engine's drain: the last full
-/// barrier fires at `K·⌊(horizon − 1)/K⌋` and the remaining
-/// `horizon mod K` rounds free-run to the stop round on every shard. The
-/// drain must neither stall (every needed packet is broadcast before its
-/// sender can block) nor skew the trace.
+/// Every fixed horizon from 1 to 13 ends the sharded run at the horizon
+/// without a final barrier phase: the last round stops on every shard's
+/// own verdict, and `h = 1` never enters the barrier at all. The drain
+/// must neither stall (every needed packet is broadcast before its sender
+/// can block) nor skew the trace.
 #[test]
 fn sharded_partial_final_window_matches_lockstep() {
     for n in [3usize, 6, 9] {
         let s = NoisySchedule::new(Digraph::complete(n), 200, 3, 42);
         let inputs: Vec<Value> = (0..n as Value).map(|i| 9 + i).collect();
-        for window in [2u32, 7] {
-            // horizons with horizon % window != 0, including horizon < window
-            for horizon in [1u32, 3, 5, 9, 11, 13] {
-                if horizon.is_multiple_of(window) {
-                    continue;
-                }
-                let until = RunUntil::Rounds(horizon);
-                let (a, finals_a) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
-                for shards in [2usize, 3, 5] {
-                    let plan = ShardPlan::new(shards).with_window(window);
-                    let (b, finals_b) =
-                        run_sharded(&s, KSetAgreement::spawn_all(n, &inputs), until, plan);
-                    let ctx = format!("n={n} window={window} horizon={horizon} shards={shards}");
-                    assert_eq!(a.decisions, b.decisions, "{ctx}");
-                    assert_eq!(a.msg_stats, b.msg_stats, "{ctx}");
-                    assert_eq!(a.rounds_executed, b.rounds_executed, "{ctx}");
-                    assert!(b.anomalies.is_empty(), "{ctx}");
-                    for (x, y) in finals_a.iter().zip(&finals_b) {
-                        assert_eq!(x.approx_graph(), y.approx_graph(), "{ctx}");
-                        assert_eq!(x.estimate(), y.estimate(), "{ctx}");
-                    }
+        for horizon in 1u32..=13 {
+            let until = RunUntil::Rounds(horizon);
+            let (a, finals_a) = run_lockstep(&s, KSetAgreement::spawn_all(n, &inputs), until);
+            for shards in [2usize, 3, 5] {
+                let (b, finals_b) = run_sharded(
+                    &s,
+                    KSetAgreement::spawn_all(n, &inputs),
+                    until,
+                    ShardPlan::new(shards),
+                );
+                let ctx = format!("n={n} horizon={horizon} shards={shards}");
+                assert_eq!(a.decisions, b.decisions, "{ctx}");
+                assert_eq!(a.msg_stats, b.msg_stats, "{ctx}");
+                assert_eq!(a.rounds_executed, b.rounds_executed, "{ctx}");
+                assert!(b.anomalies.is_empty(), "{ctx}");
+                for (x, y) in finals_a.iter().zip(&finals_b) {
+                    assert_eq!(x.approx_graph(), y.approx_graph(), "{ctx}");
+                    assert_eq!(x.estimate(), y.estimate(), "{ctx}");
                 }
             }
         }
@@ -242,7 +233,7 @@ fn engines_agree_across_forced_rebases() {
     // limit 8 > n + 1: rebases at r = 9, 12, 15, … (step 3) — 11 of them
     let (a, finals_a) = run_lockstep(&s, spawn(8), until);
     let (b, finals_b) = run_sharded(&s, spawn(8), until, ShardPlan::new(n));
-    let (c, finals_c) = run_sharded(&s, spawn(8), until, ShardPlan::new(2).with_window(3));
+    let (c, finals_c) = run_sharded(&s, spawn(8), until, ShardPlan::new(2));
     for (name, t, finals) in [("threaded", &b, &finals_b), ("sharded", &c, &finals_c)] {
         assert_eq!(a.decisions, t.decisions, "{name}");
         assert_eq!(a.msg_stats, t.msg_stats, "{name}: wire accounting");
@@ -389,7 +380,7 @@ fn shared_payload_trace_identical_to_deep_copied_payload() {
         // intra-shard fast path hands the recipient the *same* `Arc` the
         // sender holds, so it must be observationally identical to deep
         // copying the matrix into every message.
-        let plan = ShardPlan::new(3).with_window(2);
+        let plan = ShardPlan::new(3);
         let (sh_shared, sh_finals) = run_sharded(
             s.as_ref(),
             KSetAgreement::spawn_all(n, &inputs),

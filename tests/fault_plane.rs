@@ -87,7 +87,7 @@ fn codec_noop_mode_is_byte_identical_to_arc_mode() {
         let (codec_th, _) = run_sharded_codec(s.as_ref(), spawn(), until, per_process(), &NoFaults);
         assert_identical(&arc_th, &codec_th, &format!("{cfg}: per-process shards"));
 
-        let plan = || ShardPlan::new(3).with_window(2);
+        let plan = || ShardPlan::new(3);
         let (arc_sh, _) = run_sharded(s.as_ref(), spawn(), until, plan());
         let (codec_sh, _) = run_sharded_codec(s.as_ref(), spawn(), until, plan(), &NoFaults);
         assert_identical(&arc_sh, &codec_sh, &format!("{cfg}: sharded"));
@@ -100,13 +100,8 @@ fn codec_noop_mode_is_byte_identical_to_arc_mode() {
         // boundary) — with the inert plane it must sit in the same
         // equivalence class
         if loopback_available() {
-            let (sock, _) = run_socket(
-                s.as_ref(),
-                spawn(),
-                until,
-                SocketPlan::new(3).with_window(2),
-            )
-            .unwrap_or_else(|e| panic!("{cfg}: socket engine failed: {e}"));
+            let (sock, _) = run_socket(s.as_ref(), spawn(), until, SocketPlan::new(3))
+                .unwrap_or_else(|e| panic!("{cfg}: socket engine failed: {e}"));
             assert_identical(&codec_ls, &sock, &format!("{cfg}: ls vs socket"));
         }
     }
@@ -179,14 +174,8 @@ fn socket_codec_parity_with_lockstep_across_rates() {
 
         let (ls, _) = run_lockstep_codec(&s, spawn(), until, &plane);
         for shards in [1usize, 3] {
-            let (sock, _) = run_socket_codec(
-                &s,
-                spawn(),
-                until,
-                SocketPlan::new(shards).with_window(2),
-                &plane,
-            )
-            .unwrap_or_else(|e| panic!("{ctx} shards={shards}: socket engine failed: {e}"));
+            let (sock, _) = run_socket_codec(&s, spawn(), until, SocketPlan::new(shards), &plane)
+                .unwrap_or_else(|e| panic!("{ctx} shards={shards}: socket engine failed: {e}"));
             assert_identical(&ls, &sock, &format!("{ctx} shards={shards}: ls vs socket"));
             assert_eq!(
                 ls.faults.quarantined(),
@@ -345,8 +334,7 @@ fn composed_overlays_survive_all_three_engines() {
 
         let (ls, _) = run_lockstep_codec(&s, spawn(), until, &plane);
         let (th, _) = run_sharded_codec(&s, spawn(), until, ShardPlan::new(n), &plane);
-        let (sh, _) =
-            run_sharded_codec(&s, spawn(), until, ShardPlan::new(3).with_window(2), &plane);
+        let (sh, _) = run_sharded_codec(&s, spawn(), until, ShardPlan::new(3), &plane);
         assert_identical(&ls, &th, &format!("{ctx}: lockstep vs per-process shards"));
         assert_identical(&ls, &sh, &format!("{ctx}: lockstep vs sharded"));
         assert_eq!(

@@ -82,46 +82,53 @@ fn journaled_kset_run_matches_the_codec_oracle() {
 }
 
 /// Kill the process at every record boundary *and* at strided mid-record
-/// byte offsets; every resume either reports a typed "no durable
-/// snapshot" error (cuts inside the header/first-snapshot prefix) or
-/// completes the run byte-identically.
+/// byte offsets, under a fixed horizon and under an all-decided stop;
+/// every resume either reports a typed "no durable snapshot" error (cuts
+/// inside the header/first-snapshot prefix) or completes the run
+/// byte-identically.
 #[test]
 fn kill_sweep_over_every_boundary_and_torn_write_is_exact() {
     let n = 6;
     let s = FixedSchedule::synchronous(n);
     let plane = CorruptionOverlay::new(0xdead, 0.25).quiet_after(9);
-    let until = RunUntil::Rounds(14);
-    let (oracle, _) = run_lockstep_codec(&s, spawn(n), until, &plane);
-    let mut journal = Vec::new();
-    run_lockstep_journaled(&s, spawn(n), until, &plane, &meta(n, 3), &mut journal).unwrap();
-    let full = scan(&journal).unwrap();
-    let first_snapshot_end = full.record_ends[1]; // header record, then cut 0
+    for until in [
+        RunUntil::Rounds(14),
+        RunUntil::AllDecided { max_rounds: 14 },
+    ] {
+        let (oracle, _) = run_lockstep_codec(&s, spawn(n), until, &plane);
+        let mut journal = Vec::new();
+        run_lockstep_journaled(&s, spawn(n), until, &plane, &meta(n, 3), &mut journal).unwrap();
+        let full = scan(&journal).unwrap();
+        let first_snapshot_end = full.record_ends[1]; // header record, then cut 0
 
-    let mut cuts: Vec<usize> = full.record_ends.clone();
-    cuts.extend((0..journal.len()).step_by(7)); // torn mid-record writes
-    for cut in cuts {
-        // A torn header prefix has no durable bytes at all.
-        let Ok(scanned) = scan(&journal[..cut]) else {
-            assert!(cut < first_snapshot_end, "scan refused a clean cut {cut}");
-            continue;
-        };
-        // The caller contract: position the sink at the durable prefix.
-        let mut store = journal[..scanned.durable_len].to_vec();
-        let prefix = store.clone();
-        let res =
-            resume_from_journal::<_, KSetAgreement, _, _>(&s, &prefix, until, &plane, &mut store);
-        if scanned.durable_len < first_snapshot_end {
-            assert!(
-                matches!(res, Err(ResumeError::Wire(_))),
-                "cut {cut}: expected a typed no-snapshot error"
+        let mut cuts: Vec<usize> = full.record_ends.clone();
+        cuts.extend((0..journal.len()).step_by(7)); // torn mid-record writes
+        for cut in cuts {
+            let ctx = format!("{until:?}, kill at byte {cut}");
+            // A torn header prefix has no durable bytes at all.
+            let Ok(scanned) = scan(&journal[..cut]) else {
+                assert!(cut < first_snapshot_end, "{ctx}: scan refused a clean cut");
+                continue;
+            };
+            // The caller contract: position the sink at the durable prefix.
+            let mut store = journal[..scanned.durable_len].to_vec();
+            let prefix = store.clone();
+            let res = resume_from_journal::<_, KSetAgreement, _, _>(
+                &s, &prefix, until, &plane, &mut store,
             );
-            continue;
+            if scanned.durable_len < first_snapshot_end {
+                assert!(
+                    matches!(res, Err(ResumeError::Wire(_))),
+                    "{ctx}: expected a typed no-snapshot error"
+                );
+                continue;
+            }
+            let (t, _) = res.unwrap_or_else(|e| panic!("{ctx}: resume failed: {e}"));
+            assert_identical(&oracle, &t, &ctx);
+            let rescanned = scan(&store).unwrap();
+            assert!(!rescanned.truncated, "{ctx}: continuation left a tear");
+            assert_eq!(rescanned.rounds.len() as Round, oracle.rounds_executed);
         }
-        let (t, _) = res.unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
-        assert_identical(&oracle, &t, &format!("kill at byte {cut}"));
-        let rescanned = scan(&store).unwrap();
-        assert!(!rescanned.truncated, "cut {cut}: continuation left a tear");
-        assert_eq!(rescanned.rounds.len() as Round, oracle.rounds_executed);
     }
 }
 

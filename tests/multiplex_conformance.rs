@@ -45,8 +45,7 @@ fn spawn_for(cfg: &AdversaryConfig, n: usize) -> Vec<KSetAgreement> {
 /// The solo oracle: the same case through `run_sharded_codec` on a
 /// seed-derived shard plan.
 fn solo_oracle(cfg: &AdversaryConfig, s: &dyn Schedule) -> RunTrace {
-    let plan = ShardPlan::new(1 + (cfg.seed % 3) as usize)
-        .with_window([1u32, 2, 7][(cfg.seed >> 16) as usize % 3]);
+    let plan = ShardPlan::new(1 + (cfg.seed % 3) as usize);
     let (trace, _) = run_sharded_codec(s, spawn_for(cfg, s.n()), until_for(s), plan, &NoFaults);
     trace
 }
