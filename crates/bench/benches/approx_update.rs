@@ -1,6 +1,6 @@
 //! Per-round cost of the skeleton-estimator update (Algorithm 1 lines
-//! 14–25) as a function of `n` and skeleton density — ablation for
-//! DESIGN.md §5.1.
+//! 14–25) as a function of `n` and skeleton density — the update walked
+//! through in `docs/ARCHITECTURE.md` ("Where the performance lives").
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

@@ -1,5 +1,6 @@
 //! `Psrcs(k)` checking: literal subset enumeration vs the
-//! independence-number formulation — ablation for DESIGN.md §5.2.
+//! independence-number formulation (`min_k = α(H)`, the E6 binary
+//! `exp_min_k`).
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

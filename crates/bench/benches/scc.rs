@@ -1,5 +1,6 @@
 //! Tarjan vs Kosaraju vs the two-BFS strong-connectivity shortcut —
-//! ablation for DESIGN.md §5.3 (the per-round line-28 test).
+//! the per-round line-28 test (`docs/ARCHITECTURE.md`, "Algorithm 1, line
+//! by line").
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

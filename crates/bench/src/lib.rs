@@ -1,6 +1,7 @@
 //! Shared workload builders for the benchmark harness and the experiment
-//! binaries (`src/bin/*`). Every experiment in `EXPERIMENTS.md` is
-//! regenerated from these, with fixed seeds for reproducibility.
+//! binaries (`src/bin/*`). Every experiment binary (T1, T2, E3–E8, F1)
+//! regenerates its results from these, with fixed seeds for
+//! reproducibility.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

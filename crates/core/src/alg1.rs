@@ -20,7 +20,8 @@
 //! is `r ⩾ n` in context — Lemma 11 has root-component members decide at
 //! round `rST + n − 1`, which equals `n` for runs that are stable from
 //! round 1, and Lemma 14's "no process can pass the check in Line 28 before
-//! round n" is consistent with `⩾`. See DESIGN.md ("Reading notes").
+//! round n" is consistent with `⩾`. See `docs/ARCHITECTURE.md`
+//! ("Algorithm 1, line by line").
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sskel_graph::{LabeledDigraph, ProcessId, ProcessSet, Round};
@@ -33,11 +34,11 @@ use crate::msg::{KSetMsg, MsgKind};
 /// Which line-28 decision test to apply.
 ///
 /// Reproducing the paper surfaced a soundness gap in its Lemma 15 (see
-/// `tests/counterexample.rs` and EXPERIMENTS.md E8): the literal rule can
-/// decide at round `r ∈ [n, 2n)` based on transient edges observed in the
-/// first rounds of the run — which are too old to be perpetual but too
-/// young to be purged — and thereby exceed `k` decision values in runs
-/// where `Psrcs(k)` holds. [`DecisionRule::FreshnessGuarded`] additionally
+/// `tests/counterexample.rs` and the E8 binary `exp_counterexample`): the
+/// literal rule can decide at round `r ∈ [n, 2n)` based on transient edges
+/// observed in the first rounds of the run — which are too old to be
+/// perpetual but too young to be purged — and thereby exceed `k` decision
+/// values in runs where `Psrcs(k)` holds. [`DecisionRule::FreshnessGuarded`] additionally
 /// requires every edge label to be as fresh as its propagation distance
 /// allows (`s + dist(v → p) ≥ r`, the exact freshness Lemma 4 guarantees
 /// for perpetual edges), which blocks the counterexample while preserving

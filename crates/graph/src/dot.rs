@@ -1,5 +1,5 @@
 //! Graphviz/DOT and ASCII rendering of graphs — used to regenerate the
-//! paper's Figure 1 (see `EXPERIMENTS.md` F1).
+//! paper's Figure 1 (see the F1 binary, `crates/bench/src/bin/fig1.rs`).
 
 use core::fmt::Write as _;
 
@@ -83,7 +83,7 @@ pub fn labeled_to_dot(g: &LabeledDigraph, opts: &DotOptions) -> String {
 }
 
 /// One-line ASCII summary of a digraph: `p1→p2, p2→p1, …` (self-loops
-/// hidden), matching the compact notation used in `EXPERIMENTS.md`.
+/// hidden), the compact notation the F1 binary (`fig1`) prints.
 pub fn digraph_to_ascii(g: &Digraph) -> String {
     let mut parts: Vec<String> = Vec::new();
     for (u, v) in g.edges() {

@@ -1,7 +1,7 @@
 //! Random digraph generators for tests, property tests, and benchmarks.
 //!
-//! All generators take an explicit `Rng` so that every experiment in
-//! `EXPERIMENTS.md` is reproducible from a seed.
+//! All generators take an explicit `Rng` so that every experiment binary
+//! (`crates/bench/src/bin/exp_*.rs`) is reproducible from a seed.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -132,6 +132,7 @@ impl Default for Config {
                     fns: Some(&[
                         "next_event",
                         "reader_loop",
+                        "parse_batch",
                         "connect_mesh",
                         "accept_mesh",
                         "read_hello",
@@ -174,10 +175,9 @@ impl Default for Config {
             ],
             ordering_files: vec![
                 "crates/model/src/sync.rs",
-                "crates/model/src/engine/multiplex.rs",
                 // The shard worker's decided flags and the socket
                 // engine's abort flag.
-                "crates/model/src/engine/sharded.rs",
+                "crates/model/src/engine/multiplex.rs",
                 "crates/model/src/engine/socket.rs",
             ],
         }

@@ -6,39 +6,34 @@
 //! * [`lockstep`] — deterministic, single-threaded, supports per-round
 //!   observers (used for Figure 1 and the lemma-invariant tests); its one
 //!   round body also drives the durable journal ([`recovery`]);
-//! * [`sharded`] — `k` processes per thread ([`ShardPlan`]), one inbox per
-//!   shard, direct in-memory delivery inside a shard, and one
-//!   [`crate::sync::RoundBarrier`] phase per round; trace-identical to
-//!   lockstep. `ShardPlan::new(n)` is the one-thread-per-process
-//!   configuration;
-//! * [`socket`] — the same shard worker with every inter-shard frame
+//! * [`sharded`] — `k` processes per thread ([`ShardPlan`]; `ShardPlan::new(n)`
+//!   is the one-thread-per-process configuration), trace-identical to
+//!   lockstep;
+//! * [`socket`] — the sharded partition with every inter-shard batch
 //!   carried over a real loopback [`std::net::TcpStream`] ([`SocketPlan`]),
 //!   stream framing with partial-read resumption, per-connection read
 //!   timeouts and typed [`SocketError`]s; trace-identical to
-//!   [`run_lockstep_codec`] over the same schedule, seed and fault plane.
+//!   [`run_lockstep_codec`] over the same schedule, seed and fault plane;
+//! * [`multiplex`] — *agreement as a service*: `M` concurrent instances on
+//!   one worker pool ([`MultiplexPlan`]), each trace byte-identical to its
+//!   solo run.
 //!
-//! The sharded and socket engines share one shard round loop and differ
-//! only in the link between shards: in-process channels or TCP streams.
-//! Every concurrent engine, the multiplex tick loop included, closes its
-//! rounds on the same abortable [`crate::sync::RoundBarrier`], so a
-//! failing or panicking worker releases its peers instead of hanging them.
-//!
-//! [`multiplex`] layers *agreement as a service* on top of the sharded
-//! partition: `M` concurrent instances on one worker pool
-//! ([`MultiplexPlan`]), per-(shard, tick) wire batching with uvarint
-//! instance tags, shared schedule synthesis and arena-recycled buffers —
-//! every instance's trace byte-identical to its solo
-//! [`run_sharded_codec`] run.
+//! The three concurrent engines run one shard worker, the multiplex tick
+//! loop: a solo run is one instance admitted at tick 1. Per tick, every
+//! shard pair exchanges one batch — through an in-process channel or a
+//! TCP stream, the only thing the engines differ in — and the tick closes
+//! on one abortable [`crate::sync::RoundBarrier`] phase, so a failing or
+//! panicking worker releases its peers instead of hanging them.
 //!
 //! All deliver round-`r` messages exactly along the edges of `G^r`:
 //! process `q` receives `p`'s round-`r` broadcast iff `(p → q) ∈ G^r`.
 //! `docs/CONCURRENCY.md` at the repository root compares the engines and
 //! their synchronization protocols in detail.
 //!
-//! Each engine also has a codec twin (`run_*_codec`; the socket engine is
-//! codec-only) that routes every payload through the wire codec and a
-//! [`crate::fault::FaultPlane`] (Byzantine frame corruption,
-//! quarantine-and-survive receivers), and
+//! Each engine also has a codec twin (`run_*_codec`; the socket and
+//! multiplex engines are codec-only) that routes every payload through the
+//! wire codec and a [`crate::fault::FaultPlane`] (Byzantine frame
+//! corruption, quarantine-and-survive receivers), and
 //! [`recovery::run_lockstep_recovering`] adds crash/restart recovery from
 //! snapshots taken at the canonical rebase cut points.
 
@@ -121,9 +116,10 @@ pub(crate) fn settle<M>(
 #[cfg(test)]
 pub(crate) mod fixture {
     use bytes::{Buf, BufMut, Bytes, BytesMut};
-    use sskel_graph::Round;
+    use sskel_graph::{Digraph, ProcessId, Round};
 
     use crate::algorithm::{Received, Recoverable, RoundAlgorithm, Value};
+    use crate::schedule::TableSchedule;
     use crate::wire::{read_uvarint, write_uvarint, WireError};
 
     /// Floods the minimum seen value and decides after `horizon` rounds;
@@ -145,6 +141,20 @@ pub(crate) mod fixture {
                 decision: None,
             })
             .collect()
+    }
+
+    /// A ring (plus self-loops) in rounds 1 and 3, the complete graph in
+    /// round 2 and from round 4 on.
+    pub(crate) fn ring_then_complete(n: usize) -> TableSchedule {
+        let mut ring = Digraph::empty(n);
+        ring.add_self_loops();
+        for i in 0..n {
+            ring.add_edge(ProcessId::from_usize(i), ProcessId::from_usize((i + 1) % n));
+        }
+        TableSchedule::new(
+            vec![ring.clone(), Digraph::complete(n), ring],
+            Digraph::complete(n),
+        )
     }
 
     impl RoundAlgorithm for MinFlood {

@@ -1,20 +1,27 @@
-//! Multiplexed round engine: `M` concurrent k-set agreement instances on
-//! one shared worker pool, with per-(shard, tick) wire batching.
+//! The shard worker every concurrent engine runs: `M` k-set agreement
+//! instances ticking together on one pool of shard threads.
 //!
-//! One `run_*` call of the other engines executes one instance over one
-//! universe. Production traffic is many instances in flight at once —
+//! One `run_*` call of the solo engines executes one instance over one
+//! universe; production traffic is many instances in flight at once —
 //! leases, shard ownership, membership views — where **decisions per
-//! second**, not per-run latency, is the throughput metric. This engine
-//! runs `M` independent instances (each with its own schedule, universe
-//! size, inputs and stop condition) over the sharded engine's worker
-//! layout, amortizing the per-round costs that dominate small runs:
+//! second**, not per-run latency, is the throughput metric. This module's
+//! tick loop serves both: [`run_multiplex_codec`] admits `M` independent
+//! instances (each with its own schedule, universe size, inputs and stop
+//! condition), and [`super::run_sharded`], [`super::run_sharded_codec`]
+//! and the socket engine run as the `M = 1` case — one instance admitted
+//! at tick 1. Each instance's universe is split into one contiguous range
+//! per shard, and the per-round costs that dominate small runs are
+//! amortized:
 //!
-//! * **wire batching** — all frames a shard sends another shard during one
-//!   global *tick* coalesce into **one** batch packet per (source shard →
-//!   destination shard) edge, tagged per frame with a uvarint instance id
-//!   ([`crate::fault::BatchBuilder`] / [`crate::fault::BatchReader`]).
-//!   `M` co-scheduled instances pay one channel send per shard pair per
-//!   tick instead of one per frame;
+//! * **batching** — all frames a shard sends another shard during one
+//!   global *tick* travel as **one** batch of `(instance, from, to, frame)`
+//!   entries per (source shard → destination shard) pair. In-process the
+//!   batch is a `Vec` moved through a channel; the socket link serializes
+//!   it ([`crate::fault::BatchBuilder`] / [`crate::fault::BatchReader`]);
+//! * **shared decodes** — every frame, intra-shard ones included, is
+//!   unpacked through [`crate::fault::Transport::unpack_cached`], and a
+//!   batch (like the intra-shard stash) keeps a broadcast's repeated frames
+//!   adjacent, so a shard decodes each `(round, sender)` frame once;
 //! * **shared schedule synthesis** — instances driven by the *same*
 //!   schedule object at the same local round share one `graph_into` per
 //!   shard per tick (the later instances copy the first synthesis);
@@ -25,33 +32,31 @@
 //!   seen (the estimator-level analogue is `sskel_kset`'s
 //!   `AgreementPool`).
 //!
-//! **Ticks and instance lifecycle.** The engine runs a global tick counter
+//! **Ticks and instance lifecycle.** The worker runs a global tick counter
 //! `t = 1, 2, …`; an instance admitted at tick `a` executes its local
 //! round `r = t − a + 1` during tick `t`, so staggered admissions
-//! interleave arbitrary local rounds within one tick. Every tick ends with
-//! a single [`RoundBarrier`] phase, after which **every shard evaluates
-//! every active instance's stop condition independently** — the verdicts
-//! agree because the per-process decided flags are stable across the
-//! barrier (writes happen before it, reads after it, and the next tick's
-//! writes are fenced behind the batch exchange). A stopped instance
-//! retires immediately: its buffers go back to the arena and its slot
-//! stops contributing frames. The run ends when no instance is active or
-//! pending.
+//! interleave arbitrary local rounds within one tick. A tick closes one
+//! way: broadcast, exchange exactly one batch per shard pair (empty ones
+//! included), run the transitions, then one [`RoundBarrier`] phase whose
+//! last arriver computes which active instances stop — reading every
+//! shard's decided flags, all published before it arrived — and hands that
+//! set to every shard. A stopped instance retires at once: its buffers go
+//! back to the arena and its slot stops contributing frames. Nothing is
+//! broadcast for a round that does not execute, so there is nothing to
+//! roll back. The run ends when no instance is active or pending.
 //!
 //! **Correctness contract.** Multiplexing is an optimization, never a
 //! semantic change: for every instance, the returned trace — decisions,
 //! rounds executed, `msg_stats`, quarantine ledger, anomalies — is
-//! **byte-identical** to a solo [`super::run_sharded_codec`] run of the
-//! same (schedule, algorithms, stop condition, fault plane), regardless of
-//! shard count, admission tick, or what else is multiplexed alongside
-//! (pinned by `tests/multiplex_conformance.rs` across all eight adversary
-//! families). The key is that the solo engine's speculative broadcast is
-//! stats-exact after rollback, so this engine can simply *not* speculate:
-//! one barrier per tick, broadcasts only for rounds that execute.
+//! **byte-identical** to a [`super::run_lockstep_codec`] run of the same
+//! (schedule, algorithms, stop condition, fault plane), regardless of shard
+//! count, admission tick, or what else is multiplexed alongside (pinned by
+//! `tests/multiplex_conformance.rs` across all eight adversary families).
 //! `docs/CONCURRENCY.md` has the full protocol and the identity argument.
 //!
-//! A worker that panics aborts the barrier and poisons every peer's inbox
-//! before the panic propagates, so the run fails instead of hanging.
+//! A worker that panics aborts its link — the barrier and every peer's
+//! inbox — before the panic propagates, so the run fails instead of
+//! hanging.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -60,15 +65,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::sharded::split_ranges;
+use crate::engine::sharded::{split_ranges, ShardPlan};
 use crate::engine::{settle, RunUntil};
-use crate::fault::{
-    BatchBuilder, BatchReader, CodecTransport, DecodeCache, FaultPlane, FaultStats, Transport,
-};
+use crate::fault::{CodecTransport, DecodeCache, FaultPlane, FaultStats, Transport};
 use crate::schedule::Schedule;
 use crate::sync::{Aborted, RoundBarrier};
 use crate::trace::{MsgStats, RunTrace};
@@ -112,74 +114,25 @@ impl<'a, A> MuxInstance<'a, A> {
     }
 }
 
-/// How [`run_multiplex_codec`] divides the worker pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MultiplexPlan {
-    /// Number of worker threads. Every instance's universe is split into
-    /// `shards` contiguous ranges (small instances leave some shards with
-    /// an empty slice — those shards still take part in every tick's batch
-    /// exchange and barrier, so the protocol stays symmetric).
-    pub shards: usize,
-}
-
-impl MultiplexPlan {
-    /// A plan with `shards` worker threads.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        MultiplexPlan { shards }
-    }
-}
-
-/// Per-instance routing metadata, shared read-only across the workers.
-struct Meta {
-    n: usize,
-    admit_at: Round,
-    until: RunUntil,
-    /// Identity key of the instance's schedule object (the data pointer of
-    /// the `&dyn Schedule`): instances with equal keys share per-tick
-    /// graph synthesis on every shard.
-    sched_key: usize,
-    /// One contiguous (possibly empty) process range per shard.
-    ranges: Vec<Range<usize>>,
-    /// Owning shard per process index.
-    shard_of: Vec<usize>,
-}
-
-/// The reusable per-instance engine buffers a shard holds while the
-/// instance is active. Returned to the shard's arena at retirement and
-/// handed verbatim to the next admitted instance of the same shape.
-struct Buffers<M> {
-    g: Digraph,
-    rcvs: Vec<Received<M>>,
-    /// Intra-shard frames of the current tick (the codec transport defers
-    /// local hand-offs so the fault plane sees every frame at round time).
-    stash: Vec<(ProcessId, ProcessId, Bytes)>,
-}
-
-/// What one worker hands back when the run ends, indexed by instance.
-struct MuxShardOutcome<A> {
-    algs: Vec<Vec<A>>,
-    first: Vec<Vec<Option<(Round, Value)>>>,
-    stats: Vec<MsgStats>,
-    faults: Vec<FaultStats>,
-    anomalies: Vec<Vec<String>>,
-    rounds: Vec<Round>,
-}
+/// How [`run_multiplex_codec`] divides the worker pool: the sharded
+/// engine's plan. Every instance's universe is split into `shards`
+/// contiguous ranges — not clamped to the universe, so small instances
+/// leave some shards with an empty slice; those shards still take part in
+/// every tick's batch exchange and barrier, so the protocol stays
+/// symmetric. A zero shard count runs on one shard.
+pub type MultiplexPlan = ShardPlan;
 
 /// Runs `M` instances concurrently on `plan.shards` worker threads, every
 /// payload travelling as a sealed frame through `plane` inside per-tick
-/// batch packets (see the module docs for the protocol).
+/// batches (see the module docs for the protocol).
 ///
 /// Returns one `(trace, algorithms)` pair per instance, in input order —
-/// each byte-identical to a solo [`super::run_sharded_codec`] of the same
+/// each byte-identical to a [`super::run_lockstep_codec`] run of the same
 /// (schedule, algorithms, stop condition, plane).
 ///
 /// # Panics
-/// Panics if an instance's `algs.len() != schedule.n()` or a universe is
-/// empty, and re-raises the panic of a worker thread after every peer was
+/// Panics if an instance's `algs.len() != schedule.n()` or its `admit_at`
+/// is 0, and re-raises the panic of a worker thread after every peer was
 /// released.
 pub fn run_multiplex_codec<A, P>(
     instances: Vec<MuxInstance<'_, A>>,
@@ -191,24 +144,189 @@ where
     A::Msg: Wire,
     P: FaultPlane,
 {
+    run_in_process(instances, plan.shards.max(1), &CodecTransport::new(plane))
+}
+
+/// Everything one shard sends another during one tick, as `(instance,
+/// sender, receiver, frame)` entries in instance order — possibly none:
+/// every shard pair exchanges one batch per tick.
+pub(crate) type Batch<F> = Vec<(usize, ProcessId, ProcessId, F)>;
+
+/// How one shard worker reaches the others: where its batches go, where
+/// they come from, and how a tick closes. The in-process link
+/// ([`ChannelLink`]) fails only when a peer shard panicked; the socket
+/// engine's link returns typed errors. A worker that fails or panics
+/// aborts its link, so no peer is left blocked.
+pub(crate) trait Link<F>: Send {
+    /// Why the link failed.
+    type Error: Send;
+
+    /// Ships this shard's tick-`tick` batch to shard `to`.
+    fn send(&mut self, to: usize, tick: Round, batch: Batch<F>) -> Result<(), Self::Error>;
+
+    /// Blocks for the next tick-`tick` batch a peer shard sent this one.
+    fn recv(&mut self, tick: Round) -> Result<Batch<F>, Self::Error>;
+
+    /// Closes a tick with one barrier phase whose last arriver evaluates
+    /// `stops`; every shard returns its verdict, the ids of the instances
+    /// that stop.
+    fn close(&mut self, stops: impl FnOnce() -> Vec<usize>) -> Result<Vec<usize>, Self::Error>;
+
+    /// Releases every peer shard this run may leave blocked, at the
+    /// barrier or on its inbox. Called when the worker fails or panics.
+    fn abort(&mut self);
+
+    /// Whether `e` only echoes another shard's failure. A failed run
+    /// reports the lowest-indexed shard's error that is not an echo.
+    fn is_echo(e: &Self::Error) -> bool;
+}
+
+/// What travels through an in-process inbox: a tick's batch, or `None`,
+/// the poison a panicking shard sends to wake its peers.
+type Mail<F> = Option<(Round, Batch<F>)>;
+
+/// The in-process link: one mpsc inbox per shard and a shared
+/// [`RoundBarrier`].
+struct ChannelLink<'a, F> {
+    inbox: Receiver<Mail<F>>,
+    outboxes: &'a [Sender<Mail<F>>],
+    barrier: &'a RoundBarrier<Vec<usize>>,
+}
+
+impl<F: Send> Link<F> for ChannelLink<'_, F> {
+    type Error = Aborted;
+
+    fn send(&mut self, to: usize, tick: Round, batch: Batch<F>) -> Result<(), Aborted> {
+        self.outboxes[to]
+            .send(Some((tick, batch)))
+            .map_err(|_| Aborted)
+    }
+
+    fn recv(&mut self, tick: Round) -> Result<Batch<F>, Aborted> {
+        let (t, batch) = self.inbox.recv().ok().flatten().ok_or(Aborted)?;
+        debug_assert_eq!(t, tick, "a shard raced past the tick barrier");
+        Ok(batch)
+    }
+
+    fn close(&mut self, stops: impl FnOnce() -> Vec<usize>) -> Result<Vec<usize>, Aborted> {
+        self.barrier.wait_eval(stops)
+    }
+
+    fn abort(&mut self) {
+        self.barrier.abort();
+        for outbox in self.outboxes {
+            let _ = outbox.send(None);
+        }
+    }
+
+    fn is_echo(_: &Aborted) -> bool {
+        true
+    }
+}
+
+/// Runs `instances` on `shards` in-process worker threads that talk
+/// through channels.
+///
+/// # Panics
+/// As [`run_shards`].
+pub(crate) fn run_in_process<A, T>(
+    instances: Vec<MuxInstance<'_, A>>,
+    shards: usize,
+    transport: &T,
+) -> Vec<(RunTrace, Vec<A>)>
+where
+    A: RoundAlgorithm,
+    A::Msg: WireSized,
+    T: Transport<A::Msg>,
+{
+    let barrier = RoundBarrier::new(shards);
+    let (outboxes, inboxes): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
+    let links = inboxes
+        .into_iter()
+        .map(|inbox| ChannelLink {
+            inbox,
+            outboxes: &outboxes,
+            barrier: &barrier,
+        })
+        .collect();
+    run_shards(instances, links, transport)
+        .expect("in-process shards fail only when a peer panicked, and that panic propagates")
+}
+
+/// Per-instance state shared across the workers: routing metadata, read
+/// only, and the decided flags.
+struct Meta<'a> {
+    n: usize,
+    /// Instances whose schedules are the same object (the same data
+    /// pointer) share per-tick graph synthesis on every shard.
+    schedule: &'a dyn Schedule,
+    admit_at: Round,
+    until: RunUntil,
+    /// One contiguous (possibly empty) process range per shard.
+    ranges: Vec<Range<usize>>,
+    /// Owning shard per process index.
+    shard_of: Vec<usize>,
+    /// Per process: has it decided? Written by the owning shard, read by
+    /// the last arriver of each tick's barrier.
+    decided: Vec<AtomicBool>,
+}
+
+/// The reusable per-instance engine buffers a shard holds while the
+/// instance is active. Returned to the shard's arena at retirement and
+/// handed verbatim to the next admitted instance of the same shape.
+struct Buffers<M, F> {
+    g: Digraph,
+    rcvs: Vec<Received<M>>,
+    /// The current tick's frames addressed to this shard: its own
+    /// broadcasts' first, then the peers' batches. Frames stay packed
+    /// until the receive step, where the fault plane sees each one.
+    stash: Vec<(ProcessId, ProcessId, F)>,
+}
+
+/// One shard's share of one instance: its resident algorithms (empty for
+/// an instance whose universe does not reach the shard) and what the shard
+/// recorded about them, merged into the instance's trace at the join.
+struct Part<A> {
+    algs: Vec<A>,
+    first: Vec<Option<(Round, Value)>>,
+    stats: MsgStats,
+    faults: FaultStats,
+    anomalies: Vec<String>,
+    rounds: Round,
+}
+
+/// Runs `instances` on one worker thread per link, the shards talking
+/// through `links` (one per shard, in shard order), and merges each
+/// instance's per-shard outcomes into its trace, in input order.
+///
+/// # Errors
+/// The lowest-indexed shard's link error that is not an echo of another
+/// shard's failure ([`Link::is_echo`]), or else the first echo.
+///
+/// # Panics
+/// Panics if an instance's `algs.len() != schedule.n()`, and re-raises the
+/// panic of a worker thread after every peer was released.
+pub(crate) fn run_shards<A, T, L>(
+    instances: Vec<MuxInstance<'_, A>>,
+    links: Vec<L>,
+    transport: &T,
+) -> Result<Vec<(RunTrace, Vec<A>)>, L::Error>
+where
+    A: RoundAlgorithm,
+    A::Msg: WireSized,
+    T: Transport<A::Msg>,
+    L: Link<T::Frame>,
+{
     let m = instances.len();
     if m == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let shards = plan.shards;
-    let transport = CodecTransport::new(plane);
-
+    let shards = links.len();
     let mut metas = Vec::with_capacity(m);
-    let mut scheds: Vec<&dyn Schedule> = Vec::with_capacity(m);
-    let mut universes = Vec::with_capacity(m);
-    // owned[s][i] = instance i's algorithms resident in shard s.
-    let mut owned: Vec<Vec<Vec<A>>> = (0..shards).map(|_| Vec::with_capacity(m)).collect();
+    // parts[s][i] = instance i's share of shard s.
+    let mut parts: Vec<Vec<Part<A>>> = (0..shards).map(|_| Vec::with_capacity(m)).collect();
     for inst in instances {
         let n = inst.schedule.n();
-        assert!(
-            n >= 1,
-            "cannot multiplex an instance over an empty universe"
-        );
         assert_eq!(
             inst.algs.len(),
             n,
@@ -216,64 +334,47 @@ where
         );
         assert!(inst.admit_at >= FIRST_ROUND, "admission ticks are 1-based");
         let ranges = split_ranges(n, shards);
-        let mut shard_of = vec![0usize; n];
-        for (s, range) in ranges.iter().enumerate() {
-            for p in range.clone() {
-                shard_of[p] = s;
-            }
-        }
+        let shard_of = (ranges.iter().enumerate())
+            .flat_map(|(s, range)| range.clone().map(move |_| s))
+            .collect();
         let mut algs = inst.algs;
-        let mut per_shard: Vec<Vec<A>> = Vec::with_capacity(shards);
-        for range in ranges.iter().rev() {
-            per_shard.push(algs.split_off(range.start));
-        }
-        per_shard.reverse();
-        for (s, slice) in per_shard.into_iter().enumerate() {
-            owned[s].push(slice);
+        for (s, range) in ranges.iter().enumerate().rev() {
+            let algs = algs.split_off(range.start);
+            parts[s].push(Part {
+                first: vec![None; algs.len()],
+                algs,
+                stats: MsgStats::default(),
+                faults: FaultStats::new(),
+                anomalies: Vec::new(),
+                rounds: 0,
+            });
         }
         metas.push(Meta {
             n,
+            schedule: inst.schedule,
             admit_at: inst.admit_at,
             until: inst.until,
-            sched_key: inst.schedule as *const dyn Schedule as *const () as usize,
             ranges,
             shard_of,
+            decided: (0..n).map(|_| AtomicBool::new(false)).collect(),
         });
-        scheds.push(inst.schedule);
-        universes.push(n);
     }
 
-    let decided: Vec<Vec<AtomicBool>> = metas
-        .iter()
-        .map(|meta| (0..meta.n).map(|_| AtomicBool::new(false)).collect())
-        .collect();
-    let barrier = RoundBarrier::new(shards);
-    // A `None` entry is the poison a panicking worker sends to wake its
-    // peers.
-    let (txs, rxs): (Vec<Sender<Option<Batch>>>, Vec<_>) = (0..shards).map(|_| unbounded()).unzip();
-
-    let outcomes: Vec<Result<MuxShardOutcome<A>, Aborted>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = owned
+    let mut outcomes: Vec<Result<Vec<Part<A>>, L::Error>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
             .into_iter()
-            .zip(rxs)
+            .zip(links)
             .enumerate()
-            .map(|(me, (owned, rx))| {
-                let (metas, scheds, universes) = (&metas, &scheds, &universes);
-                let (txs, barrier, decided, transport) = (&txs, &barrier, &decided, &transport);
+            .map(|(me, (parts, mut link))| {
+                let metas = &metas;
                 scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_mux_shard(
-                            me, shards, metas, scheds, universes, owned, rx, txs, barrier, decided,
-                            transport,
-                        )
-                    }))
-                    .unwrap_or_else(|panic| {
-                        barrier.abort();
-                        for tx in txs {
-                            let _ = tx.send(None);
-                        }
-                        resume_unwind(panic)
-                    })
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        run_worker(me, metas, parts, &mut link, transport)
+                    }));
+                    if !matches!(out, Ok(Ok(_))) {
+                        link.abort();
+                    }
+                    out.unwrap_or_else(|panic| resume_unwind(panic))
                 })
             })
             .collect();
@@ -283,94 +384,74 @@ where
             .collect()
     });
 
-    let mut outcomes: Vec<MuxShardOutcome<A>> = outcomes
+    // Report the lowest-indexed failure that is not an echo of another
+    // shard's, else the first echo: the stable sort moves it to the front.
+    outcomes.sort_by_key(|o| o.as_ref().map_or_else(|e| u8::from(L::is_echo(e)), |_| 2));
+    let mut outcomes: Vec<_> = outcomes
         .into_iter()
-        .map(|o| o.expect("workers fail only when a peer panicked, and that panic propagates"))
-        .collect();
-    let mut results = Vec::with_capacity(m);
-    for (i, meta) in metas.iter().enumerate() {
+        .map(|o| o.map(Vec::into_iter))
+        .collect::<Result<_, _>>()?;
+    let merge = |meta: &Meta| {
         let mut trace = RunTrace::new(meta.n);
-        let mut algs_back = Vec::with_capacity(meta.n);
-        for (s, o) in outcomes.iter_mut().enumerate() {
-            for (idx, f) in o.first[i].iter().enumerate() {
-                if let Some((round, value)) = f {
-                    trace.record_decision(
-                        ProcessId::from_usize(meta.ranges[s].start + idx),
-                        *round,
-                        *value,
-                    );
+        let mut algs = Vec::with_capacity(meta.n);
+        for (parts, range) in outcomes.iter_mut().zip(&meta.ranges) {
+            let part = parts
+                .next()
+                .expect("every shard has a part of every instance");
+            for (p, first) in range.clone().zip(part.first) {
+                if let Some((round, value)) = first {
+                    trace.record_decision(ProcessId::from_usize(p), round, value);
                 }
             }
-            trace.msg_stats += &o.stats[i];
-            trace.faults.merge(std::mem::take(&mut o.faults[i]));
-            trace.anomalies.append(&mut o.anomalies[i]);
-            trace.rounds_executed = trace.rounds_executed.max(o.rounds[i]);
-            algs_back.append(&mut o.algs[i]);
+            trace.msg_stats += &part.stats;
+            trace.faults.merge(part.faults);
+            trace.anomalies.extend(part.anomalies);
+            trace.rounds_executed = trace.rounds_executed.max(part.rounds);
+            algs.extend(part.algs);
         }
         trace.faults.finalize();
-        results.push((trace, algs_back));
-    }
-    results
+        (trace, algs)
+    };
+    Ok(metas.iter().map(merge).collect())
 }
 
-/// One tick's batch packet from one shard to another.
-type Batch = (Round, Bytes);
-
-/// The per-worker tick loop. Fails only when a peer worker panicked.
-#[allow(clippy::too_many_arguments)]
-fn run_mux_shard<A, T>(
+/// The per-shard tick loop.
+fn run_worker<A, T, L>(
     me: usize,
-    shards: usize,
     metas: &[Meta],
-    scheds: &[&dyn Schedule],
-    universes: &[usize],
-    owned: Vec<Vec<A>>,
-    rx: Receiver<Option<Batch>>,
-    txs: &[Sender<Option<Batch>>],
-    barrier: &RoundBarrier,
-    decided: &[Vec<AtomicBool>],
+    mut parts: Vec<Part<A>>,
+    link: &mut L,
     transport: &T,
-) -> Result<MuxShardOutcome<A>, Aborted>
+) -> Result<Vec<Part<A>>, L::Error>
 where
     A: RoundAlgorithm,
     A::Msg: WireSized,
-    T: Transport<A::Msg, Frame = Bytes>,
+    T: Transport<A::Msg>,
+    L: Link<T::Frame>,
 {
     let m = metas.len();
-    // Resident algorithms per instance (empty slices for instances whose
-    // universe does not reach this shard), moved to the outcome at retire.
-    let mut algs: Vec<Vec<A>> = owned;
-    let mut buffers: Vec<Option<Buffers<A::Msg>>> = (0..m).map(|_| None).collect();
-    let mut out = MuxShardOutcome {
-        algs: (0..m).map(|_| Vec::new()).collect(),
-        first: metas
-            .iter()
-            .map(|meta| vec![None; meta.ranges[me].len()])
-            .collect(),
-        stats: (0..m).map(|_| MsgStats::default()).collect(),
-        faults: (0..m).map(|_| FaultStats::new()).collect(),
-        anomalies: (0..m).map(|_| Vec::new()).collect(),
-        rounds: vec![0; m],
-    };
+    // Every instance splits its universe over every shard.
+    let shards = metas[0].ranges.len();
+    let mut buffers: Vec<Option<Buffers<A::Msg, T::Frame>>> = (0..m).map(|_| None).collect();
 
     // Admission queue, ordered by (tick, instance id); active set kept in
-    // instance-id order so batches encode canonically without sorting.
+    // instance-id order so batches stay in instance order without sorting.
     let mut pending: Vec<usize> = (0..m).collect();
     pending.sort_by_key(|&i| (metas[i].admit_at, i));
     let mut pending: VecDeque<usize> = pending.into();
     let mut active: Vec<usize> = Vec::with_capacity(m);
 
-    // Retired buffer shapes, reused by later admissions (keyed by
-    // (universe, resident count) — equal shapes are drop-in compatible).
-    let mut arena: Vec<(usize, usize, Buffers<A::Msg>)> = Vec::new();
-    let mut builders: Vec<BatchBuilder> = (0..shards).map(|_| BatchBuilder::new()).collect();
-    // Per-tick schedule-synthesis cache: (schedule key, local round) → the
-    // active instance that already synthesized that graph this tick.
-    let mut synth: Vec<((usize, Round), usize)> = Vec::new();
-    // Decode-sharing memo: batches (and the stash) keep a broadcast's
+    // Retired buffers, reused by later admissions of the same shape
+    // (universe, resident count) — equal shapes are drop-in compatible.
+    let mut arena: Vec<Buffers<A::Msg, T::Frame>> = Vec::new();
+    // This tick's outgoing batch per destination shard.
+    let mut outgoing: Vec<Batch<T::Frame>> = (0..shards).map(|_| Vec::new()).collect();
+    // Per-tick schedule-synthesis cache: (schedule object, local round) →
+    // the active instance that already synthesized that graph this tick.
+    let mut synth: Vec<((*const (), Round), usize)> = Vec::new();
+    // Decode-sharing memo: batches and the stash keep a broadcast's
     // repeated frames adjacent, so consecutive same-(round, sender, bytes)
-    // unpacks share one decode — per-packet engines never see this
-    // adjacency, which is a real throughput edge of batching.
+    // unpacks share one decode.
     let mut cache: DecodeCache<A::Msg> = DecodeCache::new();
 
     let mut tick: Round = FIRST_ROUND;
@@ -380,8 +461,8 @@ where
             let i = pending.pop_front().expect("checked nonempty");
             let n = metas[i].n;
             let k = metas[i].ranges[me].len();
-            let buf = match arena.iter().position(|(an, ak, _)| (*an, *ak) == (n, k)) {
-                Some(pos) => arena.swap_remove(pos).2,
+            let buf = match arena.iter().position(|b| (b.g.n(), b.rcvs.len()) == (n, k)) {
+                Some(pos) => arena.swap_remove(pos),
                 None => Buffers {
                     g: Digraph::empty(n),
                     rcvs: (0..k).map(|_| Received::new(n)).collect(),
@@ -405,7 +486,7 @@ where
                 continue;
             }
             let r = tick - meta.admit_at + 1;
-            let key = (meta.sched_key, r);
+            let key = (meta.schedule as *const dyn Schedule as *const (), r);
             match synth.iter().find(|(k, _)| *k == key).map(|&(_, j)| j) {
                 Some(j) => {
                     // j < i: the cache only holds instances already visited
@@ -417,25 +498,25 @@ where
                 }
                 None => {
                     let buf = buffers[i].as_mut().expect("active instance has buffers");
-                    scheds[i].graph_into(r, &mut buf.g);
+                    meta.schedule.graph_into(r, &mut buf.g);
                     synth.push((key, i));
                 }
             }
             let buf = buffers[i].as_mut().expect("active instance has buffers");
-            let range = &meta.ranges[me];
-            for (idx, alg) in algs[i].iter().enumerate() {
-                let p = ProcessId::from_usize(range.start + idx);
+            let part = &mut parts[i];
+            for (p, alg) in meta.ranges[me].clone().zip(&part.algs) {
+                let p = ProcessId::from_usize(p);
                 let msg = Arc::new(alg.send(r));
                 let frame = transport.pack(&msg);
                 let receivers = buf.g.out_neighbors(p);
                 let cnt = transport.delivered_count(r, p, receivers);
-                out.stats[i].add_broadcast(msg.wire_bytes() as u64, cnt);
+                part.stats.add_broadcast(msg.wire_bytes() as u64, cnt);
                 for v in receivers.iter() {
                     let s = meta.shard_of[v.index()];
                     if s == me {
                         buf.stash.push((p, v, frame.clone()));
                     } else {
-                        builders[s].push(i, p, v, frame.clone());
+                        outgoing[s].push((i, p, v, frame.clone()));
                     }
                 }
             }
@@ -443,65 +524,53 @@ where
 
         // 3. Exchange exactly one batch per shard pair — empty batches
         // included, which keeps the per-tick receive count fixed at
-        // `shards − 1` and doubles as the inter-tick fence the verdict
-        // phase relies on (see the module docs).
-        for (s, builder) in builders.iter_mut().enumerate() {
+        // `shards − 1` — and stash what arrives. No peer can send its
+        // tick-(t + 1) batch before this tick's barrier, so every batch
+        // received here is this tick's.
+        for (s, batch) in outgoing.iter_mut().enumerate() {
             if s != me {
-                txs[s]
-                    .send(Some((tick, Bytes::from(builder.encode()))))
-                    .map_err(|_| Aborted)?;
-                builder.clear();
+                link.send(s, tick, std::mem::take(batch))?;
             }
         }
-        for _ in 0..shards - 1 {
-            let (pt, payload) = rx.recv().ok().flatten().ok_or(Aborted)?;
-            debug_assert_eq!(pt, tick, "a shard raced past the tick barrier");
-            let mut rd = BatchReader::new(&payload, universes, usize::MAX);
-            while let Some(bf) = rd
-                .next_frame()
-                .expect("self-encoded batch failed to decode")
-            {
-                let i = bf.instance;
-                let meta = &metas[i];
-                let r = tick - meta.admit_at + 1;
-                let frame = payload.slice(bf.offset..bf.offset + bf.frame.len());
-                let d = transport.unpack_cached(r, bf.from, bf.to, frame, &mut cache);
-                if let Some(msg) = settle(d, r, bf.from, bf.to, &mut out.faults[i]) {
-                    let buf = buffers[i].as_mut().expect("frame for inactive instance");
-                    buf.rcvs[bf.to.index() - meta.ranges[me].start].insert(bf.from, msg);
-                }
+        for _ in 1..shards {
+            for (i, from, to, frame) in link.recv(tick)? {
+                let buf = buffers[i].as_mut().expect("frame for inactive instance");
+                buf.stash.push((from, to, frame));
             }
         }
 
-        // 4. Unpack the intra-shard stashes (the deferring transport gives
-        // the fault plane its shot at local frames here, exactly like the
-        // solo engine's stash path), then transition every resident
-        // process and publish decisions.
+        // 4. Unpack every stashed frame — the fault plane gets its shot at
+        // each, local or not — then transition every resident process and
+        // publish decisions. Clearing each delivery vector right after its
+        // transition drops the round's message handles before the tick
+        // closes, so double-buffered senders can reclaim their old payload
+        // buffer.
         for &i in &active {
             let meta = &metas[i];
             let r = tick - meta.admit_at + 1;
             let range = &meta.ranges[me];
             let buf = buffers[i].as_mut().expect("active instance has buffers");
+            let part = &mut parts[i];
             for (p, v, frame) in buf.stash.drain(..) {
                 let d = transport.unpack_cached(r, p, v, frame, &mut cache);
-                if let Some(msg) = settle(d, r, p, v, &mut out.faults[i]) {
+                if let Some(msg) = settle(d, r, p, v, &mut part.faults) {
                     buf.rcvs[v.index() - range.start].insert(p, msg);
                 }
             }
-            for (idx, alg) in algs[i].iter_mut().enumerate() {
+            for (idx, alg) in part.algs.iter_mut().enumerate() {
                 let p = ProcessId::from_usize(range.start + idx);
                 alg.receive(r, &buf.rcvs[idx]);
                 buf.rcvs[idx].clear();
                 if let Some(v) = alg.decision() {
-                    match out.first[i][idx] {
+                    match part.first[idx] {
                         None => {
-                            out.first[i][idx] = Some((r, v));
+                            part.first[idx] = Some((r, v));
                             // ordering: Release before the tick barrier —
-                            // pairs with the Acquire sweep in the verdict
-                            // phase so every shard reads this tick's flag.
-                            decided[i][p.index()].store(true, Ordering::Release);
+                            // pairs with the Acquire sweep in the last
+                            // arriver's verdict below.
+                            meta.decided[p.index()].store(true, Ordering::Release);
                         }
-                        Some((r0, v0)) if v0 != v => out.anomalies[i].push(format!(
+                        Some((r0, v0)) if v0 != v => part.anomalies.push(format!(
                             "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
                         )),
                         Some(_) => {}
@@ -510,30 +579,29 @@ where
             }
         }
 
-        // 5. Close the tick with the run's only barrier, then evaluate
-        // every active instance's verdict. All shards read the same flag
-        // states: this tick's writes are published by the barrier, and no
-        // shard can write tick-(t+1) flags before receiving every peer's
-        // tick-(t+1) batch — which is only sent after this verdict phase.
-        barrier.wait_eval(|| false)?;
-        active.retain(|&i| {
-            let meta = &metas[i];
-            let r = tick - meta.admit_at + 1;
-            // ordering: Acquire after the barrier pairs with each
-            // shard's Release store above; all tick-t flags are visible.
-            let all = decided[i].iter().all(|d| d.load(Ordering::Acquire));
-            if meta.until.should_stop(r, all) {
-                out.rounds[i] = r;
-                out.algs[i] = std::mem::take(&mut algs[i]);
-                let buf = buffers[i].take().expect("active instance has buffers");
-                arena.push((meta.n, meta.ranges[me].len(), buf));
-                false
-            } else {
-                true
-            }
-        });
+        // 5. Close the tick with the run's only barrier: its last arriver
+        // names the active instances that stop, for every shard.
+        let stops = link.close(|| {
+            active
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let meta = &metas[i];
+                    // ordering: Acquire in the last arriver's verdict,
+                    // after every shard arrived — pairs with each shard's
+                    // Release store of its decided flags in step 4.
+                    let all = meta.decided.iter().all(|d| d.load(Ordering::Acquire));
+                    meta.until.should_stop(tick - meta.admit_at + 1, all)
+                })
+                .collect()
+        })?;
+        for &i in &stops {
+            parts[i].rounds = tick - metas[i].admit_at + 1;
+            arena.push(buffers[i].take().expect("a stopping instance is active"));
+        }
+        active.retain(|i| stops.binary_search(i).is_err());
         if active.is_empty() && pending.is_empty() {
-            return Ok(out);
+            return Ok(parts);
         }
         tick += 1;
     }
@@ -543,17 +611,10 @@ where
 mod tests {
     use super::*;
     use crate::engine::fixture::{spawn, MinFlood};
-    use crate::engine::sharded::{run_sharded_codec, ShardPlan};
+    use crate::engine::lockstep::run_lockstep_codec;
     use crate::fault::NoFaults;
+    use crate::journal::diff_run_traces;
     use crate::schedule::FixedSchedule;
-
-    fn assert_matches_solo(mux: &RunTrace, solo: &RunTrace, ctx: &str) {
-        assert_eq!(mux.decisions, solo.decisions, "{ctx}: decisions");
-        assert_eq!(mux.rounds_executed, solo.rounds_executed, "{ctx}: rounds");
-        assert_eq!(mux.msg_stats, solo.msg_stats, "{ctx}: msg_stats");
-        assert_eq!(mux.faults, solo.faults, "{ctx}: faults");
-        assert_eq!(mux.anomalies, solo.anomalies, "{ctx}: anomalies");
-    }
 
     #[test]
     fn split_ranges_cover_and_allow_empty() {
@@ -585,9 +646,9 @@ mod tests {
             for (ci, ((trace, algs), &(s, n, until, _))) in
                 results.iter().zip(cases.iter()).enumerate()
             {
-                let (solo, _) =
-                    run_sharded_codec(s, spawn(n, 3), until, ShardPlan::new(2), &NoFaults);
-                assert_matches_solo(trace, &solo, &format!("case {ci} shards={shards}"));
+                let (solo, _) = run_lockstep_codec(s, spawn(n, 3), until, &NoFaults);
+                let ctx = format!("case {ci} shards={shards}");
+                assert_eq!(diff_run_traces(trace, &solo), None, "{ctx}");
                 assert_eq!(algs.len(), n);
             }
         }
@@ -604,9 +665,9 @@ mod tests {
             MuxInstance::new(&s, spawn(4, 2), until).admitted_at(9),
         ];
         let results = run_multiplex_codec(instances, MultiplexPlan::new(2), &NoFaults);
-        let (solo, _) = run_sharded_codec(&s, spawn(4, 2), until, ShardPlan::new(2), &NoFaults);
+        let (solo, _) = run_lockstep_codec(&s, spawn(4, 2), until, &NoFaults);
         for (i, (trace, _)) in results.iter().enumerate() {
-            assert_matches_solo(trace, &solo, &format!("wave {i}"));
+            assert_eq!(diff_run_traces(trace, &solo), None, "wave {i}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Sharded round engine: `k` processes per OS thread, one inbox per shard.
+//! Sharded round engine: `k` processes per OS thread.
 //!
 //! Algorithm 1 is a *full-information, anonymous-code* protocol — every
 //! process runs the same per-round estimator — so nothing about the model
@@ -7,32 +7,14 @@
 //! drives all of them through the round structure sequentially inside the
 //! thread, recovering lockstep-like efficiency per shard while keeping
 //! real inter-thread message passing between shards (`ShardPlan::new(n)`
-//! is the one-thread-per-process extreme):
+//! is the one-thread-per-process extreme).
 //!
-//! * **one inbox per shard, not per process** — inter-shard messages travel
-//!   through a single MPSC channel per shard, tagged
-//!   `(round, from, to, payload)`; a wakeup drains whole rounds for all `k`
-//!   resident processes at once;
-//! * **intra-shard delivery never touches a channel** — a message between
-//!   two processes of the same shard is an `Arc` clone written directly
-//!   into the recipient's delivery buffer by the owning thread;
-//! * **one barrier phase per round** — every shard broadcasts its round
-//!   `r + 1` messages *speculatively before arriving* at a
-//!   [`RoundBarrier`] phase whose last arriver evaluates the stop condition
-//!   ([`RoundBarrier::wait_eval`]). The release finds the entire next
-//!   round already queued, so the receive phase never blocks and the
-//!   barrier is the round's only park. The speculative broadcast is rolled
-//!   back from the byte accounting when the verdict stops the run; it may
-//!   query `Schedule::graph_into` and the (pure) sending function one round
-//!   past the stop, which the `Schedule` contract allows. A round whose
-//!   stop needs no verdict — a fixed horizon, or the round cap — ends
-//!   without speculating or waiting, since every shard reaches it alone.
-//!
-//! The shard round loop (`run_shards`) is generic over a crate-private
-//! `Link` — the only thing that differs between this engine and the
-//! socket engine, which runs the same loop over TCP streams. A worker that
-//! panics aborts the barrier and wakes its peers' inboxes before the panic
-//! propagates, so the run fails instead of hanging.
+//! A sharded run is the one-instance case of the multiplex tick loop
+//! ([`super::multiplex`]), the only shard worker: one instance admitted at
+//! tick 1, so each tick is one round. Per round, every shard pair exchanges
+//! exactly one batch through an mpsc inbox, a message between two
+//! processes of the same shard is an `Arc` clone that never touches a
+//! channel, and one [`crate::sync::RoundBarrier`] phase closes the round.
 //!
 //! Like the other engines, the trace and the final algorithm states are
 //! **bit-identical** to [`super::lockstep`] for the same schedule and
@@ -40,28 +22,23 @@
 //! horizons): runs are fully determined by initial states plus the graph
 //! sequence, and sharding introduces no nondeterminism.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
-use std::sync::Arc;
 
-use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
-
-use crate::algorithm::{Received, RoundAlgorithm, Value};
-use crate::engine::{settle, RunUntil};
-use crate::fault::{ArcTransport, CodecTransport, Delivery, FaultPlane, FaultStats, Transport};
+use crate::algorithm::RoundAlgorithm;
+use crate::engine::multiplex::{run_in_process, MuxInstance};
+use crate::engine::RunUntil;
+use crate::fault::{ArcTransport, CodecTransport, FaultPlane};
 use crate::schedule::Schedule;
-use crate::sync::{Aborted, RoundBarrier};
-use crate::trace::{MsgStats, RunTrace};
+use crate::trace::RunTrace;
 use crate::wire::{Wire, WireSized};
 
 /// How [`run_sharded`] divides the system across worker threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// Number of worker threads; each owns a contiguous range of processes.
-    /// Clamped to `n` at run time (a shard never owns zero processes).
+    /// Number of worker threads; each owns a contiguous range of
+    /// processes. A solo run clamps it to `1..=n` (a shard never owns zero
+    /// processes, except of an empty universe); a multiplexed run keeps
+    /// every shard and only clamps zero to one.
     pub shards: usize,
 }
 
@@ -84,12 +61,11 @@ impl ShardPlan {
         ShardPlan::new(cores.min(n.max(1)))
     }
 
-    /// The contiguous process ranges of each shard for a universe of size
-    /// `n`: `shards` ranges (after clamping to `n`) whose lengths differ by
-    /// at most one. Shared with the socket engine, which partitions the
-    /// universe identically.
-    pub(crate) fn ranges(&self, n: usize) -> Vec<Range<usize>> {
-        split_ranges(n, self.shards.min(n).max(1))
+    /// The number of worker threads a solo run over `n` processes uses:
+    /// `shards` clamped to `1..=n`, and 1 for an empty universe. Shared
+    /// with the socket engine, which partitions the universe identically.
+    pub(crate) fn workers(&self, n: usize) -> usize {
+        self.shards.min(n).max(1)
     }
 }
 
@@ -98,96 +74,10 @@ impl ShardPlan {
 /// trailing ranges may be empty — the multiplex engine relies on that to
 /// keep every worker in every instance.
 pub(crate) fn split_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let base = n / shards;
-    let extra = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        out.push(lo..lo + len);
-        lo += len;
-    }
-    out
-}
-
-/// An inter-shard packet: `(round, sender, recipient, frame)`. The frame
-/// stays packed (an `Arc` in classic mode, encoded bytes in codec mode)
-/// until the recipient's round is processed.
-pub(crate) type Packet<F> = (Round, ProcessId, ProcessId, F);
-
-/// How one shard worker reaches the others: where its inter-shard packets
-/// go, where they come from, and how a round closes. The in-process link
-/// ([`ChannelLink`]) fails only when a peer shard panicked; the socket
-/// engine's link returns typed errors, and has already aborted the peer
-/// shards by the time it does.
-pub(crate) trait Link<F>: Send {
-    /// Why the link failed.
-    type Error: Send;
-
-    /// Ships `packet` to shard `to`.
-    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Self::Error>;
-
-    /// Blocks for the next packet another shard sent this one while this
-    /// shard assembles round `r` (the packet may belong to a later round).
-    fn recv(&mut self, r: Round) -> Result<Packet<F>, Self::Error>;
-
-    /// Closes a round with one barrier phase whose last arriver evaluates
-    /// `stop`; every shard returns its verdict.
-    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Self::Error>;
-
-    /// Releases every peer shard this run may leave blocked, at the
-    /// barrier or on its inbox. The worker calls it when it panics.
-    fn abort(&mut self);
-
-    /// Whether `e` only echoes another shard's failure. A failed run
-    /// reports the lowest-indexed shard's error that is not an echo.
-    fn is_echo(e: &Self::Error) -> bool;
-}
-
-/// The in-process link: one mpsc inbox per shard and a shared
-/// [`RoundBarrier`]. A `None` entry is the poison a panicking shard sends
-/// to wake its peers.
-struct ChannelLink<'a, F> {
-    inbox: Receiver<Option<Packet<F>>>,
-    outboxes: &'a [Sender<Option<Packet<F>>>],
-    barrier: &'a RoundBarrier,
-}
-
-impl<F: Send> Link<F> for ChannelLink<'_, F> {
-    type Error = Aborted;
-
-    fn send(&mut self, to: usize, packet: Packet<F>) -> Result<(), Aborted> {
-        self.outboxes[to].send(Some(packet)).map_err(|_| Aborted)
-    }
-
-    fn recv(&mut self, _r: Round) -> Result<Packet<F>, Aborted> {
-        self.inbox.recv().ok().flatten().ok_or(Aborted)
-    }
-
-    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, Aborted> {
-        self.barrier.wait_eval(stop)
-    }
-
-    fn abort(&mut self) {
-        self.barrier.abort();
-        for outbox in self.outboxes {
-            let _ = outbox.send(None);
-        }
-    }
-
-    fn is_echo(_: &Aborted) -> bool {
-        true
-    }
-}
-
-/// What one shard thread hands back when the run stops.
-struct ShardOutcome<A> {
-    algs: Vec<A>,
-    first_decisions: Vec<Option<(Round, Value)>>,
-    stats: MsgStats,
-    faults: FaultStats,
-    anomalies: Vec<String>,
-    rounds_executed: Round,
+    // Shard `s` starts after `s` full shares, plus one process for each
+    // earlier shard that takes one of the `n % shards` leftovers.
+    let start = |s: usize| s * (n / shards) + s.min(n % shards);
+    (0..shards).map(|s| start(s)..start(s + 1)).collect()
 }
 
 /// Runs `algs` against `schedule` on `plan.shards` worker threads, each
@@ -210,14 +100,17 @@ where
     A: RoundAlgorithm,
     A::Msg: WireSized,
 {
-    run_transport(schedule, algs, until, plan, &ArcTransport)
+    // `&S` is a sized `Schedule` even where `S` is not, so `&schedule`
+    // passes as the instance's `&dyn Schedule`.
+    let solo = vec![MuxInstance::new(&schedule, algs, until)];
+    run_in_process(solo, plan.workers(schedule.n()), &ArcTransport).remove(0)
 }
 
 /// [`run_sharded`] in codec-boundary mode: every payload — including
-/// intra-shard hand-offs, which normally skip the channel — travels as an
+/// intra-shard hand-offs, which never cross a channel — travels as an
 /// encoded, checksummed frame through `plane` and is decoded back at the
 /// receiver (see [`crate::fault`]). Frames the plane destroys are recorded
-/// in the trace's [`FaultStats`] and treated as drops; with
+/// in the trace's [`crate::fault::FaultStats`] and treated as drops; with
 /// [`crate::fault::NoFaults`] the result is trace- and stats-identical to
 /// [`run_sharded`].
 ///
@@ -236,379 +129,26 @@ where
     A::Msg: Wire,
     P: FaultPlane,
 {
-    run_transport(schedule, algs, until, plan, &CodecTransport::new(plane))
-}
-
-/// The engine body, generic over the payload path (see
-/// [`crate::fault::Transport`]): wires up one [`ChannelLink`] per shard.
-fn run_transport<S, A, T>(
-    schedule: &S,
-    algs: Vec<A>,
-    until: RunUntil,
-    plan: ShardPlan,
-    transport: &T,
-) -> (RunTrace, Vec<A>)
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
-{
-    let ranges = plan.ranges(schedule.n());
-    let barrier = RoundBarrier::new(ranges.len());
-    let (outboxes, inboxes): (Vec<_>, Vec<_>) = ranges.iter().map(|_| unbounded()).unzip();
-    let links = inboxes
-        .into_iter()
-        .map(|inbox| ChannelLink {
-            inbox,
-            outboxes: &outboxes,
-            barrier: &barrier,
-        })
-        .collect();
-    run_shards(schedule, algs, until, &ranges, links, transport)
-        .expect("in-process shards fail only when a peer panicked, and that panic propagates")
-}
-
-/// Runs one shard worker per range of `ranges` on its own thread, the
-/// shards talking through `links` (one per shard, in shard order), and
-/// merges their outcomes into one trace.
-///
-/// # Errors
-/// The lowest-indexed shard's link error that is not an echo of another
-/// shard's failure ([`Link::is_echo`]), or else the first echo.
-///
-/// # Panics
-/// Panics if `algs.len() != schedule.n()`, and re-raises the panic of a
-/// worker thread after every peer was released ([`Link::abort`]).
-pub(crate) fn run_shards<S, A, T, L>(
-    schedule: &S,
-    algs: Vec<A>,
-    until: RunUntil,
-    ranges: &[Range<usize>],
-    links: Vec<L>,
-    transport: &T,
-) -> Result<(RunTrace, Vec<A>), L::Error>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
-    L: Link<T::Frame>,
-{
-    let n = schedule.n();
-    assert_eq!(
-        algs.len(),
-        n,
-        "need exactly one algorithm instance per process"
-    );
-
-    // Which shard owns each process — senders index this to route packets.
-    let mut shard_of = vec![0usize; n];
-    for (s, range) in ranges.iter().enumerate() {
-        for p in range.clone() {
-            shard_of[p] = s;
-        }
-    }
-    let decided: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-
-    // Hand each thread its contiguous slice of algorithm instances.
-    let mut algs = algs;
-    let mut shard_algs: Vec<Vec<A>> = Vec::with_capacity(ranges.len());
-    for range in ranges.iter().rev() {
-        shard_algs.push(algs.split_off(range.start));
-    }
-    shard_algs.reverse();
-
-    let outcomes: Vec<Result<ShardOutcome<A>, L::Error>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_algs
-            .into_iter()
-            .zip(links)
-            .zip(ranges)
-            .map(|((owned, mut link), range)| {
-                let range = range.clone();
-                let shard_of = &shard_of;
-                let decided = &decided;
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_shard(
-                            schedule, range, owned, &mut link, shard_of, decided, until, transport,
-                        )
-                    }))
-                    .unwrap_or_else(|panic| {
-                        link.abort();
-                        resume_unwind(panic)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
-            .collect()
-    });
-
-    let mut trace = RunTrace::new(n);
-    let mut algs_back = Vec::with_capacity(n);
-    let mut echo = None;
-    for (range, outcome) in ranges.iter().zip(outcomes) {
-        let o = match outcome {
-            Ok(o) => o,
-            Err(e) if L::is_echo(&e) => {
-                echo.get_or_insert(e);
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for (i, first) in o.first_decisions.iter().enumerate() {
-            if let Some((round, value)) = first {
-                trace.record_decision(ProcessId::from_usize(range.start + i), *round, *value);
-            }
-        }
-        trace.msg_stats += &o.stats;
-        trace.faults.merge(o.faults);
-        trace.anomalies.extend(o.anomalies);
-        trace.rounds_executed = trace.rounds_executed.max(o.rounds_executed);
-        algs_back.extend(o.algs);
-    }
-    if let Some(e) = echo {
-        return Err(e);
-    }
-    trace.faults.finalize();
-    Ok((trace, algs_back))
-}
-
-/// The per-thread round loop over one contiguous shard of processes.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<S, A, T, L>(
-    schedule: &S,
-    range: Range<usize>,
-    mut algs: Vec<A>,
-    link: &mut L,
-    shard_of: &[usize],
-    decided: &[AtomicBool],
-    until: RunUntil,
-    transport: &T,
-) -> Result<ShardOutcome<A>, L::Error>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
-    L: Link<T::Frame>,
-{
-    let n = schedule.n();
-    let me = shard_of[range.start];
-    let k = range.len();
-    let mut stats = MsgStats::default();
-    let mut faults = FaultStats::new();
-    let mut first_decisions: Vec<Option<(Round, Value)>> = vec![None; k];
-    let mut anomalies = Vec::new();
-    // Early arrivals from a future round (a sender shard raced ahead), and —
-    // for deferring transports — this shard's own intra-shard frames, parked
-    // here at broadcast time instead of being handed off directly. Frames
-    // stay packed until their round is processed, so a speculative broadcast
-    // that gets rolled back never records faults.
-    let mut stash: VecDeque<Packet<T::Frame>> = VecDeque::new();
-    // Round-loop buffers, reused across rounds: the communication graph and
-    // one delivery vector per resident process. With a non-deferring
-    // transport, intra-shard messages are written into `rcvs` directly at
-    // broadcast time; only packets from other shards flow through the link.
-    let mut g = Digraph::empty(n);
-    let mut rcvs: Vec<Received<A::Msg>> = (0..k).map(|_| Received::new(n)).collect();
-    let mut r: Round = FIRST_ROUND;
-
-    // 1. Send along the out-edges of G^r (round 1 here; later rounds
-    //    broadcast at the close of the previous round, see step 4).
-    stats += &broadcast(
-        schedule, &range, &algs, r, &mut g, &mut rcvs, &mut stash, link, shard_of, transport,
-    )?;
-
-    loop {
-        // 2. Receive one frame per in-edge of G^r. With a non-deferring
-        // transport, intra-shard messages are already in `rcvs`; count what
-        // must still arrive (via the stash or the link) and drain — the
-        // stash first — until every resident process is complete. A frame
-        // the plane destroys still *arrives* — it is unpacked to a fault
-        // record instead of a delivery — so the count is exact either way.
-        let mut remaining = 0usize;
-        for p in range.clone() {
-            for q in g.in_neighbors(ProcessId::from_usize(p)).iter() {
-                remaining += usize::from(T::DEFERS_LOCAL || shard_of[q.index()] != me);
-            }
-        }
-        let mut stashed = std::mem::take(&mut stash);
-        loop {
-            let (pr, q, to, f) = match stashed.pop_front() {
-                Some(packet) => packet,
-                None if remaining > 0 => link.recv(r)?,
-                None => break,
-            };
-            if pr == r {
-                debug_assert!(
-                    g.in_neighbors(to).contains(q),
-                    "unexpected sender {q} for {to} in round {r}"
-                );
-                let d = transport.unpack(r, q, to, f);
-                if let Some(m) = settle(d, r, q, to, &mut faults) {
-                    rcvs[to.index() - range.start].insert(q, m);
-                }
-                remaining -= 1;
-            } else {
-                debug_assert!(pr > r, "stale round-{pr} packet in round {r}");
-                stash.push_back((pr, q, to, f));
-            }
-        }
-
-        // 3. Transition every resident process, then publish decision
-        // status. Clearing each delivery vector right after its transition
-        // drops the round's message handles before the round closes, so
-        // double-buffered senders can reclaim their old payload buffer.
-        for (i, alg) in algs.iter_mut().enumerate() {
-            let p = ProcessId::from_usize(range.start + i);
-            alg.receive(r, &rcvs[i]);
-            rcvs[i].clear();
-            if let Some(v) = alg.decision() {
-                match first_decisions[i] {
-                    None => {
-                        first_decisions[i] = Some((r, v));
-                        // ordering: Release before this round's closing
-                        // barrier — pairs with the Acquire sweep in the
-                        // leader's stop verdict below.
-                        decided[p.index()].store(true, Ordering::Release);
-                    }
-                    Some((r0, v0)) if v0 != v => anomalies.push(format!(
-                        "process {p} changed its decision from {v0} (round {r0}) to {v} (round {r})"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-
-        // 4. Close the round. A stop that needs no verdict (a fixed
-        // horizon, or the round cap) is reached by every shard on its own.
-        // Otherwise broadcast round r + 1 *speculatively before arriving*,
-        // then close the round with a single barrier phase — the last shard
-        // evaluates the stop condition for everyone.
-        let stop = until.should_stop(r, false) || {
-            let spec = broadcast(
-                schedule,
-                &range,
-                &algs,
-                r + 1,
-                &mut g,
-                &mut rcvs,
-                &mut stash,
-                link,
-                shard_of,
-                transport,
-            )?;
-            stats += &spec;
-            let stop = link.close(|| {
-                // ordering: Acquire in the leader's verdict, after every
-                // shard arrived — pairs with each shard's Release store
-                // of its decided flags in step 3.
-                let all = decided.iter().all(|d| d.load(Ordering::Acquire));
-                until.should_stop(r, all)
-            })?;
-            if stop {
-                // The speculative round-(r + 1) broadcast never executes:
-                // take it back out of the accounting (its packets die
-                // unread with the inboxes and the local delivery buffers).
-                stats -= &spec;
-            }
-            stop
-        };
-        if stop {
-            return Ok(ShardOutcome {
-                algs,
-                first_decisions,
-                stats,
-                faults,
-                anomalies,
-                rounds_executed: r,
-            });
-        }
-        r += 1;
-    }
-}
-
-/// Runs the sending function of every process in `range` for round `r`,
-/// packs each message through the transport and delivers the frames along
-/// the out-edges of `G^r` (left in `g`): with a non-deferring transport,
-/// intra-shard edges are written straight into the local delivery buffers
-/// `rcvs`; with a deferring one ([`Transport::DEFERS_LOCAL`]) they are
-/// parked in `stash` so the fault plane gets to touch them at round time
-/// like any inter-shard frame. Inter-shard edges become one packet on the
-/// link to the owning shard either way. Deliveries count only the frames
-/// the fault plane lets through. Returns the broadcast's stats so a
-/// speculative broadcast can be rolled back if the round never executes.
-#[allow(clippy::too_many_arguments)]
-fn broadcast<S, A, T, L>(
-    schedule: &S,
-    range: &Range<usize>,
-    algs: &[A],
-    r: Round,
-    g: &mut Digraph,
-    rcvs: &mut [Received<A::Msg>],
-    stash: &mut VecDeque<Packet<T::Frame>>,
-    link: &mut L,
-    shard_of: &[usize],
-    transport: &T,
-) -> Result<MsgStats, L::Error>
-where
-    S: Schedule + Sync + ?Sized,
-    A: RoundAlgorithm,
-    A::Msg: WireSized,
-    T: Transport<A::Msg>,
-    L: Link<T::Frame>,
-{
-    schedule.graph_into(r, g);
-    let me = shard_of[range.start];
-    let mut totals = MsgStats::default();
-    for (i, alg) in algs.iter().enumerate() {
-        let p = ProcessId::from_usize(range.start + i);
-        let msg = Arc::new(alg.send(r));
-        let frame = transport.pack(&msg);
-        let receivers = g.out_neighbors(p);
-        let cnt = transport.delivered_count(r, p, receivers);
-        totals.add_broadcast(msg.wire_bytes() as u64, cnt);
-        for v in receivers.iter() {
-            let s = shard_of[v.index()];
-            if s != me {
-                link.send(s, (r, p, v, frame.clone()))?;
-            } else if T::DEFERS_LOCAL {
-                // Codec mode: even an intra-shard frame goes through the
-                // stash so it is unpacked (and possibly faulted) when
-                // round `r` is actually processed.
-                stash.push_back((r, p, v, frame.clone()));
-            } else {
-                // Intra-shard: a direct in-memory hand-off. The buffer is
-                // free to take round-(r) payloads — its round-(r − 1)
-                // contents were consumed and cleared before this
-                // broadcast. Non-deferring transports never fault.
-                match transport.unpack(r, p, v, frame.clone()) {
-                    Delivery::Deliver(m) => rcvs[v.index() - range.start].insert(p, m),
-                    _ => unreachable!("non-deferring transport faulted a local hand-off"),
-                }
-            }
-        }
-    }
-    Ok(totals)
+    let solo = vec![MuxInstance::new(&schedule, algs, until)];
+    let transport = CodecTransport::new(plane);
+    run_in_process(solo, plan.workers(schedule.n()), &transport).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::fixture::spawn;
+    use crate::engine::fixture::{ring_then_complete, spawn};
     use crate::engine::lockstep::run_lockstep;
-    use crate::schedule::{FixedSchedule, TableSchedule};
+    use crate::schedule::FixedSchedule;
 
     #[test]
     fn shard_ranges_are_contiguous_and_balanced() {
+        let ranges = |plan: ShardPlan, n| split_ranges(n, plan.workers(n));
         let plan = ShardPlan::new(3);
-        assert_eq!(plan.ranges(8), vec![0..3, 3..6, 6..8]);
-        assert_eq!(plan.ranges(2), vec![0..1, 1..2]); // clamped to n
-        assert_eq!(ShardPlan::new(1).ranges(5), vec![0..5]);
+        assert_eq!(ranges(plan, 8), vec![0..3, 3..6, 6..8]);
+        assert_eq!(ranges(plan, 2), vec![0..1, 1..2]); // clamped to n
+        assert_eq!(ranges(ShardPlan::new(1), 5), vec![0..5]);
+        assert_eq!(ranges(plan, 0), vec![0..0]); // one shard, owning nothing
         assert!(ShardPlan::auto(6).shards >= 1);
     }
 
@@ -630,21 +170,9 @@ mod tests {
 
     #[test]
     fn sharded_matches_lockstep_on_dynamic_graphs_under_fixed_horizon() {
-        // ring in odd rounds via prefix, complete afterwards; every horizon
-        // up to the run's, including the barrier-free h = 1.
+        // every horizon up to the run's, including the one-round h = 1.
         let n = 6;
-        let ring = {
-            let mut g = Digraph::empty(n);
-            g.add_self_loops();
-            for i in 0..n {
-                g.add_edge(ProcessId::from_usize(i), ProcessId::from_usize((i + 1) % n));
-            }
-            g
-        };
-        let s = TableSchedule::new(
-            vec![ring.clone(), Digraph::complete(n), ring],
-            Digraph::complete(n),
-        );
+        let s = ring_then_complete(n);
         for horizon in 1..=8 {
             let until = RunUntil::Rounds(horizon);
             let (t1, _) = run_lockstep(&s, spawn(n, 5), until);

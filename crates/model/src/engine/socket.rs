@@ -5,7 +5,7 @@
 //! boundary, moves its bytes through an mpsc channel. This engine puts
 //! the *operating system* on the byte path: processes are grouped into
 //! contiguous shards exactly like [`super::sharded`], but every
-//! inter-shard frame travels through a genuine [`TcpStream`] pair on
+//! inter-shard batch travels through a genuine [`TcpStream`] pair on
 //! loopback (`127.0.0.1`), with the kernel free to fragment, coalesce
 //! and delay it like any other TCP traffic.
 //!
@@ -15,22 +15,27 @@
 //!   shards, established during a handshake phase (bind one listener
 //!   per shard, connect `shards · (shards − 1)` streams, each opened by
 //!   its sending shard and identified by a one-varint hello). Frames are
-//!   [`crate::fault::seal`]ed exactly as in the in-process codec engines
-//!   and carried inside [`crate::fault::encode_packet`] stream framing;
-//!   one **reader thread per connection** parses packets incrementally
-//!   ([`PacketStream`]) and forwards them into the receiving shard's
-//!   inbox, so TCP backpressure can never deadlock a round (senders
-//!   always find a draining peer).
+//!   [`crate::fault::seal`]ed exactly as in the in-process codec engines;
+//!   each round, a shard writes **one packet per peer shard**: an
+//!   [`crate::fault::encode_packet`] header naming the round, the sending
+//!   and the receiving shard, around the round's
+//!   [`crate::fault::BatchBuilder`] batch. One **reader thread per
+//!   connection** parses packets incrementally ([`PacketStream`]), checks
+//!   that each names its connection's two shards, splits the batch back
+//!   into frames with [`crate::fault::BatchReader`] and forwards it into
+//!   the receiving shard's inbox, so TCP backpressure can never deadlock
+//!   a round (senders always find a draining peer).
 //! * **control plane** — round closing stays in shared memory: the shard
-//!   workers are the sharded engine's own round loop, run over a socket
-//!   link, so the speculative-broadcast + leader-verdict protocol is the
-//!   same code on the same [`RoundBarrier`]. One shard's socket failure
-//!   (or panic) aborts it and wakes every inbox, releasing each peer with
-//!   a typed error instead of a hang.
+//!   workers are the multiplex tick loop ([`super::multiplex`]) running
+//!   the one instance over a socket link, so the leader-verdict protocol
+//!   is the same code on the same [`RoundBarrier`]. One shard's socket
+//!   failure (or panic) aborts it and wakes every inbox, releasing each
+//!   peer with a typed error instead of a hang.
 //! * **failure domain** — socket-level trouble is **transport**-fatal
 //!   and typed ([`SocketError`]): a mid-frame stall past the read
 //!   timeout, a disconnect inside a packet, junk or oversized stream
-//!   framing, a round that cannot assemble within its budget. In-frame
+//!   framing, a batch that does not parse or names the wrong shards, a
+//!   round that cannot assemble within its budget. In-frame
 //!   corruption injected by the [`FaultPlane`] stays per-edge and
 //!   recoverable: it is quarantined into the run's
 //!   [`crate::fault::FaultStats`] at [`crate::fault::Transport::unpack`]
@@ -50,18 +55,21 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sskel_graph::Round;
+use sskel_graph::{ProcessId, Round};
 
 use crate::algorithm::RoundAlgorithm;
-use crate::engine::sharded::{run_shards, Link, Packet, ShardPlan};
+use crate::engine::multiplex::{run_shards, Batch, Link, MuxInstance};
+use crate::engine::sharded::{split_ranges, ShardPlan};
 use crate::engine::RunUntil;
 use crate::fault::{
-    encode_packet, CodecTransport, FaultPlane, FramedPacket, NoFaults, PacketBuffer,
+    encode_packet, BatchBuilder, BatchReader, CodecTransport, FaultPlane, FramedPacket, NoFaults,
+    PacketBuffer,
 };
 use crate::schedule::Schedule;
 use crate::sync::RoundBarrier;
@@ -86,13 +94,15 @@ pub struct SocketPlan {
     /// just re-polls; a reader starving **inside** a packet for this
     /// long fails the connection with [`SocketError::Stalled`].
     pub read_timeout: Duration,
-    /// Wall-clock budget for one shard to assemble one round's frames.
-    /// Exceeding it aborts the run with [`SocketError::Timeout`].
+    /// Wall-clock budget for one shard to receive one round's batches
+    /// from every peer shard. Exceeding it aborts the run with
+    /// [`SocketError::Timeout`].
     pub round_timeout: Duration,
     /// Wall-clock budget for the whole connect/accept/hello mesh
     /// establishment.
     pub handshake_timeout: Duration,
-    /// Upper bound on a packet's advertised frame length; a stream
+    /// Upper bound on a packet's advertised length — a whole round's batch
+    /// from one shard to another — and on every frame inside it; a stream
     /// announcing more is treated as framing garbage.
     pub max_frame: usize,
     /// Test hook: shard `s` sleeps `handshake_delays[s]` (when present)
@@ -161,12 +171,6 @@ impl SocketPlan {
         self.handshake_delays[shard] = delay;
         self
     }
-
-    /// The contiguous per-shard process ranges (identical partition to
-    /// the sharded engine).
-    fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        ShardPlan::new(self.shards).ranges(n)
-    }
 }
 
 /// Why a socket run failed. Transport-level trouble is fatal for the
@@ -199,7 +203,8 @@ pub enum SocketError {
         source: io::Error,
     },
     /// The stream carried bytes that can never parse as a packet (junk
-    /// preamble, oversized length prefix, out-of-domain header).
+    /// preamble, oversized length prefix, out-of-domain header), or a
+    /// packet whose batch is garbage or names the wrong shards.
     Frame {
         /// The shard at the other end of the connection.
         peer: usize,
@@ -218,7 +223,7 @@ pub enum SocketError {
         /// The shard at the other end of the connection.
         peer: usize,
     },
-    /// A shard could not assemble a round's frames within the round
+    /// A shard could not receive a round's batches within the round
     /// budget.
     Timeout {
         /// The shard whose round never completed.
@@ -370,15 +375,54 @@ impl PacketStream {
     }
 }
 
-/// What a reader thread forwards: a parsed packet, or the typed error
+/// What a reader thread forwards: one round's batch, or the typed error
 /// that killed its connection.
-type Inbound = Result<Packet<Bytes>, SocketError>;
+type Inbound = Result<Batch<Bytes>, SocketError>;
 
-/// The socket engine's [`Link`]: inter-shard packets are written to this
-/// shard's outbound TCP streams, inbound ones arrive through its reader
-/// threads' inbox under the per-round deadline, and rounds close on the
-/// shared [`RoundBarrier`]. Every error it raises itself first aborts the
-/// run ([`Link::abort`]), so no peer is left parked.
+/// What one reader thread expects of its connection's packets, and how it
+/// turns each back into a batch.
+struct BatchParser {
+    /// The sending shard, at the other end of the connection.
+    peer: usize,
+    /// The receiving shard.
+    me: usize,
+    /// The universe size of the run's one instance.
+    n: usize,
+    /// The receiving shard's processes: every entry must address one.
+    owned: Range<usize>,
+    max_frame: usize,
+}
+
+impl BatchParser {
+    /// Checks `p`'s header against the connection and splits its batch
+    /// into entries that share the packet's bytes. Every defect is a typed
+    /// error: the connection is then dead.
+    fn parse_batch(&self, p: FramedPacket) -> Result<Batch<Bytes>, WireError> {
+        if p.from.index() != self.peer || p.to.index() != self.me {
+            return Err(WireError::InvalidValue("packet names the wrong shards"));
+        }
+        let mut batch = Vec::new();
+        let universes = std::slice::from_ref(&self.n);
+        let mut rd = BatchReader::new(&p.frame, universes, self.max_frame);
+        while let Some(bf) = rd.next_frame()? {
+            if !self.owned.contains(&bf.to.index()) {
+                return Err(WireError::InvalidValue(
+                    "batch entry addressed outside the receiving shard",
+                ));
+            }
+            // `offset..offset + len` lies inside the batch: the reader
+            // just borrowed exactly those bytes from it.
+            let frame = p.frame.slice(bf.offset..bf.offset + bf.frame.len());
+            batch.push((bf.instance, bf.from, bf.to, frame));
+        }
+        Ok(batch)
+    }
+}
+
+/// The socket engine's [`Link`]: each round's batch to a peer is written
+/// to this shard's outbound TCP stream as one packet, inbound ones arrive
+/// through its reader threads' inbox under the per-round deadline, and
+/// rounds close on the shared [`RoundBarrier`].
 struct SocketLink<'a> {
     me: usize,
     inbox: Receiver<Inbound>,
@@ -386,43 +430,44 @@ struct SocketLink<'a> {
     inboxes: &'a [Sender<Inbound>],
     /// Outbound streams indexed by destination shard (`None` for `me`).
     outs: Vec<Option<TcpStream>>,
+    /// Encodes each outbound batch; its entry buffer is reused.
+    builder: BatchBuilder,
     aborted: &'a AtomicBool,
-    barrier: &'a RoundBarrier,
+    barrier: &'a RoundBarrier<Vec<usize>>,
     round_timeout: Duration,
     /// The round being assembled and the instant its budget runs out.
     deadline: (Round, Instant),
 }
 
-impl SocketLink<'_> {
-    /// Aborts the run and returns `e`.
-    fn fail<T>(&mut self, e: SocketError) -> Result<T, SocketError> {
-        self.abort();
-        Err(e)
-    }
-}
-
 impl Link<Bytes> for SocketLink<'_> {
     type Error = SocketError;
 
-    fn send(&mut self, to: usize, (r, p, v, frame): Packet<Bytes>) -> Result<(), SocketError> {
-        let pkt = encode_packet(r, p, v, &frame);
-        let stream = self.outs[to].as_mut().expect("missing outbound stream");
-        match stream.write_all(&pkt) {
-            Ok(()) => Ok(()),
-            Err(source) => self.fail(SocketError::Io { peer: to, source }),
+    fn send(&mut self, to: usize, r: Round, batch: Batch<Bytes>) -> Result<(), SocketError> {
+        for (i, from, v, frame) in batch {
+            self.builder.push(i, from, v, frame);
         }
+        let pkt = encode_packet(
+            r,
+            ProcessId::from_usize(self.me),
+            ProcessId::from_usize(to),
+            &self.builder.encode(),
+        );
+        self.builder.clear();
+        let stream = self.outs[to].as_mut().expect("missing outbound stream");
+        stream
+            .write_all(&pkt)
+            .map_err(|source| SocketError::Io { peer: to, source })
     }
 
-    fn recv(&mut self, r: Round) -> Result<Packet<Bytes>, SocketError> {
+    fn recv(&mut self, r: Round) -> Result<Batch<Bytes>, SocketError> {
         // The round budget starts with the round's first wait.
         if self.deadline.0 != r {
             self.deadline = (r, Instant::now() + self.round_timeout);
         }
         let budget = self.deadline.1.saturating_duration_since(Instant::now());
         match self.inbox.recv_timeout(budget) {
-            Ok(Ok(packet)) => Ok(packet),
-            Ok(Err(e)) => self.fail(e),
-            Err(RecvTimeoutError::Timeout) => self.fail(SocketError::Timeout {
+            Ok(inbound) => inbound,
+            Err(RecvTimeoutError::Timeout) => Err(SocketError::Timeout {
                 shard: self.me,
                 round: r,
             }),
@@ -433,9 +478,9 @@ impl Link<Bytes> for SocketLink<'_> {
         }
     }
 
-    fn close(&mut self, stop: impl FnOnce() -> bool) -> Result<bool, SocketError> {
+    fn close(&mut self, stops: impl FnOnce() -> Vec<usize>) -> Result<Vec<usize>, SocketError> {
         self.barrier
-            .wait_eval(stop)
+            .wait_eval(stops)
             .map_err(|_| SocketError::Aborted)
     }
 
@@ -511,8 +556,8 @@ where
         n,
         "need exactly one algorithm instance per process"
     );
-    let ranges = plan.ranges(n);
-    let shards = ranges.len();
+    let shards = ShardPlan::new(plan.shards).workers(n);
+    let ranges = split_ranges(n, shards);
 
     // --- mesh establishment -------------------------------------------
     let mut listeners = Vec::with_capacity(shards);
@@ -547,6 +592,7 @@ where
             inbox,
             inboxes: &txs,
             outs,
+            builder: BatchBuilder::new(),
             aborted: &abort,
             barrier: &barrier,
             round_timeout: plan.round_timeout,
@@ -555,19 +601,26 @@ where
         .collect();
 
     std::thread::scope(|scope| {
-        // One reader thread per inbound connection: parse packets off
+        // One reader thread per inbound connection: parse batches off
         // the wire and forward them (or the connection's death) into the
         // owning shard's inbox. Readers drain unconditionally, so a
         // sender's `write_all` can never block on a full kernel buffer
-        // for long — the flow-control argument of the sharded engine
-        // carries over with the backlog living in the unbounded inbox.
-        for (t, conns) in ins.into_iter().enumerate() {
+        // for long — the backlog lives in the unbounded inbox, and it is
+        // at most one batch per connection (see `docs/CONCURRENCY.md`).
+        for ((me, conns), owned) in ins.into_iter().enumerate().zip(&ranges) {
             for (peer, stream) in conns {
-                let tx = txs[t].clone();
+                let tx = txs[me].clone();
                 let abort = &abort;
-                let ps = PacketStream::new(stream, peer, n, plan.max_frame, plan.read_timeout);
+                let ps = PacketStream::new(stream, peer, shards, plan.max_frame, plan.read_timeout);
+                let parser = BatchParser {
+                    peer,
+                    me,
+                    n,
+                    owned: owned.clone(),
+                    max_frame: plan.max_frame,
+                };
                 scope.spawn(move || match ps {
-                    Ok(mut ps) => reader_loop(&mut ps, &tx, abort),
+                    Ok(mut ps) => reader_loop(&mut ps, parser, &tx, abort),
                     Err(source) => {
                         let _ = tx.send(Err(SocketError::Io { peer, source }));
                     }
@@ -578,14 +631,8 @@ where
         // lowest-indexed shard with a non-`Aborted` error) is reported,
         // not the echo. A panicking shard aborts them too, then the panic
         // propagates.
-        run_shards(
-            schedule,
-            algs,
-            until,
-            &ranges,
-            links,
-            &CodecTransport::new(plane),
-        )
+        let solo = vec![MuxInstance::new(&schedule, algs, until)];
+        run_shards(solo, links, &CodecTransport::new(plane)).map(|mut out| out.remove(0))
     })
 }
 
@@ -727,31 +774,37 @@ fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Result<usize, Socket
     }
 }
 
-/// One connection's reader thread: forward packets into the shard inbox
-/// until the stream ends, the connection dies (forward the typed error
-/// once, then exit), the inbox's shard is gone, or the run aborts.
-fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) {
+/// One connection's reader thread: forward batches into the shard inbox
+/// until the stream ends, the connection dies or carries a bad batch
+/// (forward the typed error once, then exit), the inbox's shard is gone,
+/// or the run aborts.
+fn reader_loop(
+    ps: &mut PacketStream,
+    parser: BatchParser,
+    tx: &Sender<Inbound>,
+    abort: &AtomicBool,
+) {
     loop {
         // ordering: Acquire pairs with the failing shard's Release store
-        // in `SocketLink::fail`; the flag is only a stop signal.
+        // in `SocketLink::abort`; the flag is only a stop signal.
         if abort.load(Ordering::Acquire) {
             return;
         }
-        match ps.next_event() {
+        let batch = match ps.next_event() {
             Ok(PacketEvent::Packet(p)) => {
-                if tx.send(Ok((p.round, p.from, p.to, p.frame))).is_err() {
-                    // The owning shard finished and dropped its inbox:
-                    // whatever remains on this stream is a speculative
-                    // round that will never execute.
-                    return;
-                }
+                parser.parse_batch(p).map_err(|source| SocketError::Frame {
+                    peer: parser.peer,
+                    source,
+                })
             }
-            Ok(PacketEvent::Idle) => {}
+            Ok(PacketEvent::Idle) => continue,
             Ok(PacketEvent::Eof) => return,
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
+            Err(e) => Err(e),
+        };
+        let failed = batch.is_err();
+        // A closed inbox means the owning shard already finished.
+        if tx.send(batch).is_err() || failed {
+            return;
         }
     }
 }
@@ -759,13 +812,10 @@ fn reader_loop(ps: &mut PacketStream, tx: &Sender<Inbound>, abort: &AtomicBool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use sskel_graph::{Digraph, ProcessId};
-
-    use crate::engine::fixture::spawn;
+    use crate::engine::fixture::{ring_then_complete, spawn};
     use crate::engine::lockstep::{run_lockstep, run_lockstep_codec};
-    use crate::fault::CorruptionOverlay;
-    use crate::schedule::{FixedSchedule, TableSchedule};
+    use crate::fault::{seal, CorruptionOverlay};
+    use crate::schedule::FixedSchedule;
 
     fn loopback() -> bool {
         TcpListener::bind(("127.0.0.1", 0)).is_ok()
@@ -799,18 +849,7 @@ mod tests {
             return;
         }
         let n = 6;
-        let ring = {
-            let mut g = Digraph::empty(n);
-            g.add_self_loops();
-            for i in 0..n {
-                g.add_edge(ProcessId::from_usize(i), ProcessId::from_usize((i + 1) % n));
-            }
-            g
-        };
-        let s = TableSchedule::new(
-            vec![ring.clone(), Digraph::complete(n), ring],
-            Digraph::complete(n),
-        );
+        let s = ring_then_complete(n);
         for horizon in [1, 3, 8] {
             let until = RunUntil::Rounds(horizon);
             let (t1, _) = run_lockstep(&s, spawn(n, 5), until);
@@ -858,6 +897,66 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "handshake failure was not bounded"
         );
+    }
+
+    /// Runs the reader of shard 0 of a 4-process, 2-shard run on a
+    /// loopback connection from shard 1, feeds it `bytes` and a clean
+    /// close, and returns everything it forwarded.
+    fn read_from_shard_1(bytes: &[u8]) -> Vec<Inbound> {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let mut writer = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut ps = PacketStream::new(stream, 1, 2, 1 << 16, Duration::from_secs(1)).expect("ps");
+        writer.write_all(bytes).expect("write");
+        drop(writer);
+        let parser = BatchParser {
+            peer: 1,
+            me: 0,
+            n: 4,
+            owned: 0..2,
+            max_frame: 1 << 16,
+        };
+        let (tx, rx) = unbounded();
+        reader_loop(&mut ps, parser, &tx, &AtomicBool::new(false));
+        drop(tx);
+        rx.into_iter().collect()
+    }
+
+    #[test]
+    fn reader_rejects_hostile_batches_with_one_typed_error() {
+        if !loopback() {
+            eprintln!("skipping: loopback unavailable");
+            return;
+        }
+        let id = ProcessId::from_usize;
+        let batch = |to: usize| {
+            let mut b = BatchBuilder::new();
+            b.push(0, id(2), id(to), seal(&7u64));
+            b.encode()
+        };
+        let packet = |r, from, to, batch: &[u8]| encode_packet(r, id(from), id(to), batch);
+        let good = batch(1);
+        // The control: a well-framed packet is forwarded as one batch, and
+        // the clean close then ends the reader.
+        let got = read_from_shard_1(&packet(1, 1, 0, &good));
+        assert!(
+            matches!(got.as_slice(), [Ok(b)] if b.len() == 1),
+            "got {got:?}"
+        );
+        let hostile = [
+            ("truncated batch", packet(1, 1, 0, &good[..good.len() - 2])),
+            ("garbage batch", packet(1, 1, 0, &[0x80, 0x00, 0xde])),
+            ("sender is not the peer", packet(1, 0, 0, &good)),
+            ("receiver is not this shard", packet(1, 1, 1, &good)),
+            ("entry for another shard", packet(1, 1, 0, &batch(3))),
+        ];
+        for (what, bytes) in hostile {
+            let got = read_from_shard_1(&bytes);
+            assert!(
+                matches!(got.as_slice(), [Err(SocketError::Frame { peer: 1, .. })]),
+                "{what}: got {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!   that still decodes is caught by the checksum.
 //! * [`encode_packet`] / [`PacketBuffer`] — stream framing for transports
 //!   that carry frames over a real byte stream (the socket engine): a
-//!   routed packet header ahead of each sealed frame, and an incremental
-//!   parser that survives arbitrary read fragmentation and distinguishes
-//!   *incomplete* (more bytes coming) from *corrupt* (typed, fatal for
-//!   the connection).
+//!   routed packet header ahead of each payload — a sealed frame, or the
+//!   socket engine's per-shard-pair [`BatchBuilder`] batch of them — and
+//!   an incremental parser that survives arbitrary read fragmentation and
+//!   distinguishes *incomplete* (more bytes coming) from *corrupt* (typed,
+//!   fatal for the connection).
 //! * [`Tamper`] — the corruption taxonomy (drop, bit-flip, truncation,
 //!   junk prefix/suffix, duplication), each variant carrying its own
 //!   seeded parameters.
@@ -129,7 +130,9 @@ pub fn open<M: Wire>(frame: &[u8]) -> Result<M, WireError> {
 
 /// Encodes one routed frame for a byte *stream*: a packet header of four
 /// canonical uvarints — round, sender index, receiver index, frame length
-/// — followed by the [`seal`]ed frame verbatim.
+/// — followed by the [`seal`]ed frame verbatim. The socket engine routes
+/// between shards instead: sender and receiver are shard indices, and the
+/// "frame" is the round's [`BatchBuilder`] batch for that shard pair.
 ///
 /// The header is **transport** framing, not payload: the checksum trailer
 /// of [`seal`] covers the frame, while header damage surfaces as a stream
@@ -276,8 +279,10 @@ impl PacketBuffer {
 }
 
 /// Accumulates the sealed frames one shard sends another during one tick
-/// of a multiplexed run ([`crate::engine::run_multiplex_codec`]), grouped
-/// by instance, and encodes them into **one** batch packet:
+/// of the shard worker, grouped by instance, and encodes them into **one**
+/// batch — the bytes the socket engine ([`crate::engine::run_socket`])
+/// carries in one stream packet per shard pair per tick (in-process links
+/// move the entries without encoding them):
 ///
 /// ```text
 /// batch := uvarint group_count, group × group_count
@@ -393,10 +398,10 @@ pub struct BatchFrame<'a> {
     pub offset: usize,
 }
 
-/// Decoder for [`BatchBuilder::encode`] packets. Unlike [`PacketBuffer`]
-/// it operates on a *complete* buffer (batches travel one-per-channel-send
-/// inside a process, or inside an already-reassembled stream packet), so
-/// every defect is immediately typed — there is no "incomplete" state:
+/// Decoder for [`BatchBuilder::encode`] batches. Unlike [`PacketBuffer`]
+/// it operates on a *complete* buffer (an already-reassembled stream
+/// packet), so every defect is immediately typed — there is no
+/// "incomplete" state:
 ///
 /// * truncation anywhere (mid-varint, mid-group, mid-frame) is
 ///   [`WireError::UnexpectedEnd`];
@@ -885,10 +890,10 @@ pub enum Delivery<M> {
 /// `(round, sender, frame bytes)`.
 ///
 /// A broadcast ships the *same* sealed frame to every receiver, and the
-/// multiplex engine's batched packets (and its intra-shard stash) keep
-/// those repeats adjacent — so a receiving worker that remembers its
-/// last decode can recognize the repeat and share one decode across all
-/// same-shard receivers of the broadcast. The memo holds exactly one
+/// shard worker's batches (and its stash) keep those repeats adjacent —
+/// so a receiving worker that remembers its last decode can recognize the
+/// repeat and share one decode across all same-shard receivers of the
+/// broadcast. The memo holds exactly one
 /// entry because the repeats are consecutive; the full byte comparison
 /// (not just the key) is the correctness guard, so colliding
 /// `(round, sender)` pairs from different multiplexed instances simply
@@ -918,13 +923,6 @@ impl<M> Default for DecodeCache<M> {
 pub trait Transport<M>: Sync {
     /// The in-flight representation of one payload.
     type Frame: Clone + Send + 'static;
-
-    /// Whether same-thread (intra-shard) deliveries must also defer to
-    /// the receive phase. The Arc path hands local payloads over at
-    /// broadcast time (nothing can happen to them); the codec path must
-    /// not unpack early — a speculative round's frames would record
-    /// faults for a round that is then rolled back.
-    const DEFERS_LOCAL: bool;
 
     /// Packs one payload for flight.
     fn pack(&self, m: &Arc<M>) -> Self::Frame;
@@ -963,8 +961,6 @@ pub struct ArcTransport;
 impl<M: Send + Sync + 'static> Transport<M> for ArcTransport {
     type Frame = Arc<M>;
 
-    const DEFERS_LOCAL: bool = false;
-
     fn pack(&self, m: &Arc<M>) -> Arc<M> {
         Arc::clone(m)
     }
@@ -995,8 +991,6 @@ impl<P: FaultPlane> CodecTransport<P> {
 
 impl<M: Wire + Send + Sync + 'static, P: FaultPlane> Transport<M> for CodecTransport<P> {
     type Frame = Bytes;
-
-    const DEFERS_LOCAL: bool = true;
 
     fn pack(&self, m: &Arc<M>) -> Bytes {
         seal(&**m)

@@ -13,11 +13,11 @@
 //!   round by round;
 //! * [`engine::run_sharded`] — `k` processes per thread
 //!   ([`engine::ShardPlan`]; `ShardPlan::new(n)` gives every process its
-//!   own thread): one inbox per shard, channel-free delivery inside a
-//!   shard, and at most one [`sync::RoundBarrier`] phase per round —
-//!   producing identical traces;
+//!   own thread): one batch per shard pair per round through one inbox
+//!   per shard, channel-free delivery inside a shard, and one
+//!   [`sync::RoundBarrier`] phase per round — producing identical traces;
 //! * [`engine::run_socket`] — the same shard worker with every
-//!   inter-shard frame sealed and carried over real loopback TCP
+//!   inter-shard batch sealed and carried over real loopback TCP
 //!   ([`engine::SocketPlan`]): the OS owns the byte path, stream framing
 //!   resumes across partial reads, and socket trouble surfaces as typed
 //!   [`engine::SocketError`]s — still trace-identical to lockstep.
@@ -50,11 +50,13 @@
 //! [`journal::diff_journals`] report the *first divergent component* of two
 //! runs instead of a bare inequality.
 //!
-//! [`engine::run_multiplex_codec`] turns the sharded engine into an
-//! *agreement service*: `M` concurrent instances share one worker pool,
-//! inter-shard frames of a tick coalesce into instance-tagged batch
-//! packets ([`fault::BatchBuilder`] / [`fault::BatchReader`]), and every
-//! instance's trace stays byte-identical to its solo sharded run.
+//! [`engine::run_multiplex_codec`] is the shard worker as an *agreement
+//! service*: `M` concurrent instances share one worker pool, the
+//! inter-shard frames of a tick travel in one instance-tagged batch per
+//! shard pair, and every instance's trace stays byte-identical to its solo
+//! lockstep run. The sharded and socket engines are its one-instance case;
+//! the socket link serializes batches with [`fault::BatchBuilder`] /
+//! [`fault::BatchReader`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

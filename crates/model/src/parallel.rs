@@ -1,7 +1,7 @@
 //! Parallel Monte-Carlo execution of independent simulations.
 //!
-//! The experiments in `EXPERIMENTS.md` evaluate thousands of independent
-//! runs (random schedules × seeds). [`par_map`] fans the work out over a
+//! The experiment binaries (`crates/bench/src/bin/exp_*.rs`) evaluate
+//! thousands of independent runs (random schedules × seeds). [`par_map`] fans the work out over a
 //! thread pool with dynamic self-scheduling: workers repeatedly claim the
 //! next unclaimed index via an atomic counter, so irregular per-run cost
 //! (runs terminate at different rounds) cannot create stragglers the way a

@@ -1,12 +1,13 @@
 //! The barrier every concurrent engine closes its rounds on.
 //!
-//! The shard worker (the sharded and socket engines) and the multiplex tick
-//! loop close each round with exactly one [`RoundBarrier`] phase. Its last
-//! arriver evaluates a round-closing verdict for everyone
-//! ([`RoundBarrier::wait_eval`]), which folds "leader decides, everyone
-//! learns" into a single phase instead of two, and any participant can
-//! [`RoundBarrier::abort`] it, so a worker that fails never leaves its peers
-//! parked. The protocols built on it are laid out in `docs/CONCURRENCY.md`.
+//! The shard worker (which runs the sharded, socket and multiplex engines)
+//! closes each tick with exactly one [`RoundBarrier`] phase. Its last
+//! arriver evaluates a tick-closing verdict for everyone
+//! ([`RoundBarrier::wait_eval`]) — the set of instances that stop — which
+//! folds "leader decides, everyone learns" into a single phase instead of
+//! two, and any participant can [`RoundBarrier::abort`] it, so a worker that
+//! fails never leaves its peers parked. The protocol built on it is laid out
+//! in `docs/CONCURRENCY.md`.
 
 use std::sync::{Condvar, Mutex};
 
@@ -16,7 +17,8 @@ use std::sync::{Condvar, Mutex};
 pub struct Aborted;
 
 /// A reusable generation barrier whose last arriver hands every waiter its
-/// verdict, and whose waits fail once any participant aborts it.
+/// verdict of type `V`, and whose waits fail once any participant aborts
+/// it.
 ///
 /// All `parties` threads must call [`RoundBarrier::wait_eval`] for any of
 /// them to proceed; the barrier then resets itself for the next
@@ -42,23 +44,23 @@ pub struct Aborted;
 ///     assert_eq!(h.join().unwrap(), 10); // every thread saw every verdict
 /// }
 /// ```
-pub struct RoundBarrier {
-    state: Mutex<State>,
+pub struct RoundBarrier<V = bool> {
+    state: Mutex<State<V>>,
     cv: Condvar,
     parties: usize,
 }
 
-struct State {
+struct State<V> {
     /// Threads that have arrived in the current generation.
     arrived: usize,
     /// Advances when the last thread of a generation arrives.
     generation: u64,
     /// The last arriver's verdict for the generation that just closed.
-    verdict: bool,
+    verdict: V,
     aborted: bool,
 }
 
-impl RoundBarrier {
+impl<V: Clone + Default> RoundBarrier<V> {
     /// A barrier for `parties ≥ 1` threads.
     ///
     /// # Panics
@@ -69,7 +71,7 @@ impl RoundBarrier {
             state: Mutex::new(State {
                 arrived: 0,
                 generation: 0,
-                verdict: false,
+                verdict: V::default(),
                 aborted: false,
             }),
             cv: Condvar::new(),
@@ -79,14 +81,14 @@ impl RoundBarrier {
 
     /// Blocks until all parties have arrived for the current generation.
     /// The last arriver evaluates `eval` while every other party is still
-    /// blocked, and **all** parties return its verdict. Every write a party
-    /// made before arriving is visible to `eval`, and `eval`'s effects are
-    /// visible to every party after the wait: the barrier's mutex orders
-    /// them.
+    /// blocked, and **all** parties return (a clone of) its verdict. Every
+    /// write a party made before arriving is visible to `eval`, and
+    /// `eval`'s effects are visible to every party after the wait: the
+    /// barrier's mutex orders them.
     ///
     /// # Errors
     /// [`Aborted`] if the barrier was aborted before or during the wait.
-    pub fn wait_eval(&self, eval: impl FnOnce() -> bool) -> Result<bool, Aborted> {
+    pub fn wait_eval(&self, eval: impl FnOnce() -> V) -> Result<V, Aborted> {
         let mut st = self.state.lock().expect("barrier mutex poisoned");
         if st.aborted {
             return Err(Aborted);
@@ -97,7 +99,7 @@ impl RoundBarrier {
             st.arrived = 0;
             st.generation += 1;
             st.verdict = eval();
-            let verdict = st.verdict;
+            let verdict = st.verdict.clone();
             drop(st);
             self.cv.notify_all();
             return Ok(verdict);
@@ -108,7 +110,7 @@ impl RoundBarrier {
                 return Err(Aborted);
             }
             if st.generation != gen {
-                return Ok(st.verdict);
+                return Ok(st.verdict.clone());
             }
         }
     }
@@ -173,7 +175,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one participant")]
     fn zero_participants_rejected() {
-        let _ = RoundBarrier::new(0);
+        let _: RoundBarrier = RoundBarrier::new(0);
     }
 
     #[test]

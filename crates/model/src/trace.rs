@@ -40,26 +40,14 @@ impl MsgStats {
 }
 
 impl core::ops::AddAssign<&MsgStats> for MsgStats {
-    /// Field-wise sum — engines use this to fold per-thread (or per-shard)
-    /// accounting into the run's totals, so a future `MsgStats` field only
-    /// has to be added in one place.
+    /// Field-wise sum — the shard worker uses this to fold per-shard
+    /// accounting into each instance's totals, so a future `MsgStats`
+    /// field only has to be added in one place.
     fn add_assign(&mut self, other: &MsgStats) {
         self.broadcasts += other.broadcasts;
         self.deliveries += other.deliveries;
         self.broadcast_bytes += other.broadcast_bytes;
         self.delivered_bytes += other.delivered_bytes;
-    }
-}
-
-impl core::ops::SubAssign<&MsgStats> for MsgStats {
-    /// Field-wise difference — the concurrent engines use this to roll a
-    /// speculative next-round broadcast back out of the accounting when the
-    /// stop verdict means that round never executes.
-    fn sub_assign(&mut self, other: &MsgStats) {
-        self.broadcasts -= other.broadcasts;
-        self.deliveries -= other.deliveries;
-        self.broadcast_bytes -= other.broadcast_bytes;
-        self.delivered_bytes -= other.delivered_bytes;
     }
 }
 

@@ -4,7 +4,9 @@
 //! file actually has). `docs/ARCHITECTURE.md` promises line-accurate
 //! anchors per commit — this test is what enforces the "file still exists
 //! and is long enough" half of that promise mechanically; reviewers only
-//! need to eyeball that the line still shows the named item.
+//! need to eyeball that the line still shows the named item. Every `.md`
+//! file named in that prose, or in a `//` comment of the Rust sources, has
+//! to exist too.
 //!
 //! CI runs this test as its own step (see `.github/workflows/ci.yml`), so
 //! a PR that moves or deletes a referenced file fails fast.
@@ -105,6 +107,73 @@ fn source_anchors(text: &str) -> Vec<(String, Option<u64>)> {
     out
 }
 
+/// The Rust sources whose comments may cite markdown files: every `.rs`
+/// file under `crates/`, `src/`, `tests/` and `examples/`.
+fn rust_files() -> Vec<PathBuf> {
+    fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("readable directory entry").path();
+            if path.is_dir() && !path.ends_with("target") {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut out = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        walk(&root.join(dir), &mut out);
+    }
+    out.sort();
+    out
+}
+
+/// The comment part of each line of Rust source that has one: the text
+/// from the first `//` on (which covers `//!` and `///`), skipping a `//`
+/// that sits inside a string literal (an odd number of unescaped quotes
+/// before it).
+fn comments(source: &str) -> Vec<&str> {
+    source
+        .lines()
+        .filter_map(|line| {
+            let at = line
+                .match_indices("//")
+                .map(|(i, _)| i)
+                .find(|&i| line[..i].replace("\\\"", "").matches('"').count() % 2 == 0)?;
+            Some(&line[at..])
+        })
+        .collect()
+}
+
+/// Extracts the markdown file names mentioned in `text`: maximal
+/// path-character runs ending in `.md` whose last component has a stem.
+fn md_names(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(".md") {
+        let end = at + ".md".len();
+        if text[end..].chars().next().is_some_and(is_path_char) {
+            continue;
+        }
+        let start = text[..at]
+            .char_indices()
+            .rev()
+            .take_while(|&(_, c)| is_path_char(c))
+            .last()
+            .map_or(at, |(i, _)| i);
+        let name = &text[start..end];
+        // A bare `.md` (the tail of a `docs/*.md` glob) names no file.
+        if name.rsplit('/').next().is_none_or(|file| file == ".md") {
+            continue;
+        }
+        out.push(name.to_owned());
+    }
+    out
+}
+
 #[test]
 fn markdown_links_point_at_existing_paths() {
     let root = repo_root();
@@ -174,6 +243,42 @@ fn source_anchors_point_at_existing_files_and_lines() {
 }
 
 #[test]
+fn cited_markdown_files_exist() {
+    let root = repo_root();
+    let mut cited: Vec<(PathBuf, String)> = Vec::new();
+    for file in doc_files() {
+        let text = std::fs::read_to_string(&file).expect("doc file is readable");
+        cited.extend(md_names(&text).into_iter().map(|n| (file.clone(), n)));
+    }
+    for file in rust_files() {
+        let text = std::fs::read_to_string(&file).expect("source file is readable");
+        for comment in comments(&text) {
+            cited.extend(md_names(comment).into_iter().map(|n| (file.clone(), n)));
+        }
+    }
+    let mut broken = Vec::new();
+    for (file, name) in cited {
+        let dir = file.parent().expect("cited from a file in a directory");
+        if ![
+            root.join(&name),
+            root.join("docs").join(&name),
+            dir.join(&name),
+        ]
+        .iter()
+        .any(|p| p.exists())
+        {
+            let rel = file.strip_prefix(&root).unwrap_or(&file).display();
+            broken.push(format!("{rel}: cites `{name}`, which does not exist"));
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "citations of missing markdown files:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
 fn extractors_parse_the_expected_shapes() {
     let text = "See [map](../docs/ARCHITECTURE.md) and `crates/core/src/alg1.rs:92` \
                 (also `crates/core/src/approx.rs:213-216`, plus plain crates/graph \
@@ -187,4 +292,14 @@ fn extractors_parse_the_expected_shapes() {
     assert!(anchors.contains(&("crates/core/src/approx.rs".to_owned(), Some(213))));
     assert!(anchors.contains(&("crates/graph".to_owned(), None)));
     assert!(anchors.contains(&("crates/bench/benches".to_owned(), None)));
+
+    let prose = "See `docs/TESTING.md`, [map](../docs/ARCHITECTURE.md), README.md, \
+                 every docs/*.md and the .mdx file x.mdx.";
+    assert_eq!(
+        md_names(prose),
+        vec!["docs/TESTING.md", "../docs/ARCHITECTURE.md", "README.md"]
+    );
+    // Built at run time, so this file's own comment scan does not see it.
+    let source = "let url = \"http:SSx/A.md\"; SS see B.md\nSS/ C.md\nlet d = 1;".replace('S', "/");
+    assert_eq!(comments(&source), vec!["// see B.md", "/// C.md"]);
 }

@@ -404,3 +404,59 @@ fn shared_payload_trace_identical_to_deep_copied_payload() {
         }
     }
 }
+
+/// Degenerate inputs run like lockstep on every engine instead of
+/// crashing: an empty universe is vacuously all decided after one round
+/// (or runs its fixed horizon of empty rounds), and a zero-shard multiplex
+/// plan runs on one shard.
+#[test]
+fn empty_universes_and_zero_shard_plans_match_lockstep() {
+    let none = Vec::<KSetAgreement>::new;
+    let empty = FixedSchedule::synchronous(0);
+    for until in [RunUntil::AllDecided { max_rounds: 5 }, RunUntil::Rounds(3)] {
+        let (oracle, _) = run_lockstep(&empty, none(), until);
+        let mut runs = vec![
+            (
+                "lockstep_codec",
+                run_lockstep_codec(&empty, none(), until, &NoFaults).0,
+            ),
+            (
+                "sharded",
+                run_sharded(&empty, none(), until, ShardPlan::new(2)).0,
+            ),
+            (
+                "sharded_codec",
+                run_sharded_codec(&empty, none(), until, ShardPlan::new(2), &NoFaults).0,
+            ),
+        ];
+        for shards in [0, 2] {
+            let solo = vec![MuxInstance::new(&empty as &dyn Schedule, none(), until)];
+            let mut out = run_multiplex_codec(solo, MultiplexPlan { shards }, &NoFaults);
+            runs.push(("multiplex", out.remove(0).0));
+        }
+        if sskel::model::testutil::require_loopback("empty_universes_and_zero_shard_plans") {
+            let (sock, _) = run_socket(&empty, none(), until, SocketPlan::new(2)).expect("socket");
+            runs.push(("socket", sock));
+        }
+        for (engine, trace) in runs {
+            let ctx = format!("{engine} under {until:?}");
+            assert_eq!(diff_run_traces(&trace, &oracle), None, "{ctx}");
+            assert_eq!(trace.rounds_executed, oracle.rounds_executed, "{ctx}");
+        }
+    }
+
+    let n = 5;
+    let s = FixedSchedule::synchronous(n);
+    let inputs: Vec<Value> = (0..n as Value).map(|i| 40 - i).collect();
+    let until = RunUntil::AllDecided { max_rounds: 10 };
+    let (oracle, _) =
+        run_lockstep_codec(&s, KSetAgreement::spawn_all(n, &inputs), until, &NoFaults);
+    let solo = vec![MuxInstance::new(
+        &s as &dyn Schedule,
+        KSetAgreement::spawn_all(n, &inputs),
+        until,
+    )];
+    let (trace, algs) = run_multiplex_codec(solo, MultiplexPlan { shards: 0 }, &NoFaults).remove(0);
+    assert_eq!(diff_run_traces(&trace, &oracle), None, "zero-shard plan");
+    assert_eq!(algs.len(), n);
+}

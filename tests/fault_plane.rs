@@ -426,11 +426,12 @@ fn kset_snapshot_restore_rejects_garbage_without_panicking() {
 
 /// The fault plane through the **multiplexed** engine: M instances on one
 /// worker pool, every inter-shard frame travelling inside an
-/// instance-tagged batch packet, with a `CorruptionOverlay` tampering at
+/// instance-tagged per-tick batch, with a `CorruptionOverlay` tampering at
 /// the codec boundary. Per instance, the trace *and the quarantine
-/// ledger* are byte-identical to a solo `run_sharded_codec` of the same
+/// ledger* are byte-identical to a solo `run_lockstep_codec` of the same
 /// (schedule, inputs, plane) — batching frames does not change what the
-/// plane sees, at any rate, under staggered admissions.
+/// plane sees, at any rate, under staggered admissions. (Lockstep is the
+/// oracle because the solo sharded engine runs the multiplex worker.)
 #[test]
 fn multiplexed_corruption_matches_solo_per_instance() {
     let cases = [
@@ -471,11 +472,10 @@ fn multiplexed_corruption_matches_solo_per_instance() {
             .collect();
         let results = run_multiplex_codec(instances, MultiplexPlan::new(3), &plane);
         for (((cfg, admit), s), (mux, _)) in configs.iter().zip(scheds.iter()).zip(results.iter()) {
-            let (solo, _) = run_sharded_codec(
+            let (solo, _) = run_lockstep_codec(
                 s.as_ref(),
                 freshness_spawn(s.n(), &cfg.inputs()),
                 until_for(s.as_ref()),
-                ShardPlan::new(2),
                 &plane,
             );
             assert_identical(mux, &solo, &format!("rate={rate} {cfg} @t{admit}"));

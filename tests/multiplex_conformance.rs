@@ -3,9 +3,11 @@
 //! `run_multiplex_codec` promises that multiplexing is an optimization and
 //! never a semantic change: every instance of an M-way run — whatever else
 //! is multiplexed alongside, however shards and admission ticks are chosen
-//! — produces a trace **byte-identical** to a solo `run_sharded_codec` of
-//! the same (schedule, inputs, stop condition, fault plane). This suite
-//! pins that contract differentially:
+//! — produces a trace **byte-identical** to a solo `run_lockstep_codec` of
+//! the same (schedule, inputs, stop condition, fault plane). The solo
+//! sharded engine is the multiplex worker with M = 1, so lockstep is the
+//! oracle that shares no code with the engine under test. This suite pins
+//! that contract differentially:
 //!
 //! * per-family singletons (M = 1) across worker counts, for all eight
 //!   adversary families;
@@ -42,11 +44,9 @@ fn spawn_for(cfg: &AdversaryConfig, n: usize) -> Vec<KSetAgreement> {
     KSetAgreement::spawn_all_with(n, &cfg.inputs(), DecisionRule::FreshnessGuarded)
 }
 
-/// The solo oracle: the same case through `run_sharded_codec` on a
-/// seed-derived shard plan.
+/// The solo oracle: the same case through `run_lockstep_codec`.
 fn solo_oracle(cfg: &AdversaryConfig, s: &dyn Schedule) -> RunTrace {
-    let plan = ShardPlan::new(1 + (cfg.seed % 3) as usize);
-    let (trace, _) = run_sharded_codec(s, spawn_for(cfg, s.n()), until_for(s), plan, &NoFaults);
+    let (trace, _) = run_lockstep_codec(s, spawn_for(cfg, s.n()), until_for(s), &NoFaults);
     trace
 }
 
