@@ -19,12 +19,14 @@
 //!   each round, a shard writes **one packet per peer shard**: an
 //!   [`crate::fault::encode_packet`] header naming the round, the sending
 //!   and the receiving shard, around the round's
-//!   [`crate::fault::BatchBuilder`] batch. One **reader thread per
-//!   connection** parses packets incrementally ([`PacketStream`]), checks
-//!   that each names its connection's two shards, splits the batch back
-//!   into frames with [`crate::fault::BatchReader`] and forwards it into
-//!   the receiving shard's inbox, so TCP backpressure can never deadlock
-//!   a round (senders always find a draining peer).
+//!   [`crate::fault::BatchBuilder`] batch, which carries each sender's
+//!   frame once for all its receivers on that shard. One **reader thread
+//!   per connection** parses packets incrementally ([`PacketStream`]),
+//!   checks that each names its connection's two shards and the next
+//!   round, splits the batch back into per-edge frames with
+//!   [`crate::fault::BatchReader`] and forwards it into the receiving
+//!   shard's inbox, so TCP backpressure can never deadlock a round
+//!   (senders always find a draining peer).
 //! * **control plane** — round closing stays in shared memory: the shard
 //!   workers are the multiplex tick loop ([`super::multiplex`]) running
 //!   the one instance over a socket link, so the leader-verdict protocol
@@ -61,14 +63,14 @@ use std::sync::mpsc::{channel as unbounded, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sskel_graph::{ProcessId, Round};
+use sskel_graph::{ProcessId, Round, FIRST_ROUND};
 
 use crate::algorithm::RoundAlgorithm;
 use crate::engine::multiplex::{run_shards, Batch, Link, MuxInstance};
 use crate::engine::sharded::{split_ranges, ShardPlan};
 use crate::engine::RunUntil;
 use crate::fault::{
-    encode_packet, BatchBuilder, BatchReader, CodecTransport, FaultPlane, FramedPacket, NoFaults,
+    max_batch_len, BatchBuilder, BatchReader, CodecTransport, FaultPlane, FramedPacket, NoFaults,
     PacketBuffer,
 };
 use crate::schedule::Schedule;
@@ -101,9 +103,11 @@ pub struct SocketPlan {
     /// Wall-clock budget for the whole connect/accept/hello mesh
     /// establishment.
     pub handshake_timeout: Duration,
-    /// Upper bound on a packet's advertised length — a whole round's batch
-    /// from one shard to another — and on every frame inside it; a stream
-    /// announcing more is treated as framing garbage.
+    /// Upper bound on every sealed frame's advertised length. A packet —
+    /// one round's batch from one shard to another, carrying each sender's
+    /// frame once — may hold one such frame per process of the sending
+    /// shard, plus routing varints; a stream announcing more is treated as
+    /// framing garbage.
     pub max_frame: usize,
     /// Test hook: shard `s` sleeps `handshake_delays[s]` (when present)
     /// before opening its outbound connections.
@@ -312,8 +316,8 @@ pub struct PacketStream {
 
 impl PacketStream {
     /// Wraps `stream`, reporting `peer` in errors, parsing packets over
-    /// a universe of `universe` processes with frames capped at
-    /// `max_frame` bytes, and reading with `read_timeout`.
+    /// a universe of `universe` endpoints with payloads (a frame, or a
+    /// batch) capped at `max_frame` bytes, and reading with `read_timeout`.
     pub fn new(
         stream: TcpStream,
         peer: usize,
@@ -384,32 +388,39 @@ type Inbound = Result<Batch<Bytes>, SocketError>;
 struct BatchParser {
     /// The sending shard, at the other end of the connection.
     peer: usize,
+    /// The sending shard's processes: every entry must come from one.
+    senders: Range<usize>,
     /// The receiving shard.
     me: usize,
-    /// The universe size of the run's one instance.
-    n: usize,
     /// The receiving shard's processes: every entry must address one.
     owned: Range<usize>,
+    /// The universe size of the run's one instance.
+    n: usize,
     max_frame: usize,
+    /// The next packet's round: a connection carries rounds 1, 2, 3, … in order.
+    round: Round,
 }
 
 impl BatchParser {
     /// Checks `p`'s header against the connection and splits its batch
     /// into entries that share the packet's bytes. Every defect is a typed
     /// error: the connection is then dead.
-    fn parse_batch(&self, p: FramedPacket) -> Result<Batch<Bytes>, WireError> {
-        if p.from.index() != self.peer || p.to.index() != self.me {
-            return Err(WireError::InvalidValue("packet names the wrong shards"));
+    fn parse_batch(&mut self, p: FramedPacket) -> Result<Batch<Bytes>, WireError> {
+        if (p.round, p.from.index(), p.to.index()) != (self.round, self.peer, self.me) {
+            return Err(WireError::InvalidValue("wrong round or shards in packet"));
         }
+        self.round = self.round.saturating_add(1);
         let mut batch = Vec::new();
-        let universes = std::slice::from_ref(&self.n);
-        let mut rd = BatchReader::new(&p.frame, universes, self.max_frame);
+        let mut rd = BatchReader::new(&p.frame, std::slice::from_ref(&self.n), self.max_frame);
+        // The sender walks its processes and their receivers in order, so
+        // edges strictly increase: none can come twice.
+        let mut last = None;
         while let Some(bf) = rd.next_frame()? {
-            if !self.owned.contains(&bf.to.index()) {
-                return Err(WireError::InvalidValue(
-                    "batch entry addressed outside the receiving shard",
-                ));
+            let (q, v) = (bf.from.index(), bf.to.index());
+            if !self.senders.contains(&q) || !self.owned.contains(&v) || last >= Some((q, v)) {
+                return Err(WireError::InvalidValue("stray or repeated batch edge"));
             }
+            last = Some((q, v));
             // `offset..offset + len` lies inside the batch: the reader
             // just borrowed exactly those bytes from it.
             let frame = p.frame.slice(bf.offset..bf.offset + bf.frame.len());
@@ -419,8 +430,8 @@ impl BatchParser {
     }
 }
 
-/// The socket engine's [`Link`]: each round's batch to a peer is written
-/// to this shard's outbound TCP stream as one packet, inbound ones arrive
+/// The socket engine's [`Link`]: each round's batch to a peer goes out as
+/// one packet on this shard's outbound TCP stream, inbound ones arrive
 /// through its reader threads' inbox under the per-round deadline, and
 /// rounds close on the shared [`RoundBarrier`].
 struct SocketLink<'a> {
@@ -430,8 +441,6 @@ struct SocketLink<'a> {
     inboxes: &'a [Sender<Inbound>],
     /// Outbound streams indexed by destination shard (`None` for `me`).
     outs: Vec<Option<TcpStream>>,
-    /// Encodes each outbound batch; its entry buffer is reused.
-    builder: BatchBuilder,
     aborted: &'a AtomicBool,
     barrier: &'a RoundBarrier<Vec<usize>>,
     round_timeout: Duration,
@@ -443,16 +452,8 @@ impl Link<Bytes> for SocketLink<'_> {
     type Error = SocketError;
 
     fn send(&mut self, to: usize, r: Round, batch: Batch<Bytes>) -> Result<(), SocketError> {
-        for (i, from, v, frame) in batch {
-            self.builder.push(i, from, v, frame);
-        }
-        let pkt = encode_packet(
-            r,
-            ProcessId::from_usize(self.me),
-            ProcessId::from_usize(to),
-            &self.builder.encode(),
-        );
-        self.builder.clear();
+        let id = ProcessId::from_usize;
+        let pkt = BatchBuilder::from_entries(batch).encode_packet(r, id(self.me), id(to));
         let stream = self.outs[to].as_mut().expect("missing outbound stream");
         stream
             .write_all(&pkt)
@@ -568,16 +569,14 @@ where
         listeners.push(l);
     }
     let deadline = Instant::now() + plan.handshake_timeout;
-    let (outs_res, ins_res) = std::thread::scope(|scope| {
-        let addrs = &addrs;
-        let delays = &plan.handshake_delays;
-        let connector = scope.spawn(move || connect_mesh(addrs, delays, plan.round_timeout));
+    let (outs, ins) = std::thread::scope(|scope| {
+        let connector =
+            scope.spawn(|| connect_mesh(&addrs, &plan.handshake_delays, plan.round_timeout));
         let ins = accept_mesh(&listeners, shards, deadline, plan.read_timeout);
         (connector.join().expect("connector thread panicked"), ins)
     });
     drop(listeners);
-    let outs = outs_res?;
-    let ins = ins_res?;
+    let (outs, ins) = (outs?, ins?);
 
     // --- run ----------------------------------------------------------
     let abort = AtomicBool::new(false);
@@ -592,7 +591,6 @@ where
             inbox,
             inboxes: &txs,
             outs,
-            builder: BatchBuilder::new(),
             aborted: &abort,
             barrier: &barrier,
             round_timeout: plan.round_timeout,
@@ -611,13 +609,17 @@ where
             for (peer, stream) in conns {
                 let tx = txs[me].clone();
                 let abort = &abort;
-                let ps = PacketStream::new(stream, peer, shards, plan.max_frame, plan.read_timeout);
+                let senders = ranges[peer].clone();
+                let cap = max_batch_len(senders.len(), owned.len(), plan.max_frame);
+                let ps = PacketStream::new(stream, peer, shards, cap, plan.read_timeout);
                 let parser = BatchParser {
                     peer,
+                    senders,
                     me,
-                    n,
                     owned: owned.clone(),
+                    n,
                     max_frame: plan.max_frame,
+                    round: FIRST_ROUND,
                 };
                 scope.spawn(move || match ps {
                     Ok(mut ps) => reader_loop(&mut ps, parser, &tx, abort),
@@ -645,35 +647,26 @@ fn connect_mesh(
     delays: &[Duration],
     write_timeout: Duration,
 ) -> Result<Vec<Vec<Option<TcpStream>>>, SocketError> {
-    let shards = addrs.len();
-    let mut outs: Vec<Vec<Option<TcpStream>>> = (0..shards)
-        .map(|_| (0..shards).map(|_| None).collect())
-        .collect();
-    for (s, row) in outs.iter_mut().enumerate() {
+    let mut outs = Vec::with_capacity(addrs.len());
+    for s in 0..addrs.len() {
         if let Some(d) = delays.get(s) {
             std::thread::sleep(*d);
         }
-        for (t, slot) in row.iter_mut().enumerate() {
-            if t == s {
-                continue;
-            }
-            // lint: allow(panic) — `t` enumerates a row of the
-            // `addrs.len()`-square mesh, so `t < addrs.len()`.
-            let mut stream = TcpStream::connect(addrs[t])
-                .map_err(|e| SocketError::Connect { to: t, source: e })?;
-            stream
-                .set_nodelay(true)
-                .map_err(|e| SocketError::Connect { to: t, source: e })?;
-            stream
-                .set_write_timeout(Some(write_timeout))
-                .map_err(|e| SocketError::Connect { to: t, source: e })?;
-            let mut hello = Vec::with_capacity(2);
-            write_uvarint(&mut hello, s as u64);
-            stream
-                .write_all(&hello)
-                .map_err(|e| SocketError::Connect { to: t, source: e })?;
-            *slot = Some(stream);
-        }
+        let mut hello = Vec::with_capacity(2);
+        write_uvarint(&mut hello, s as u64);
+        let dial = |addr| -> io::Result<TcpStream> {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            stream.set_write_timeout(Some(write_timeout))?;
+            stream.write_all(&hello).map(|()| stream)
+        };
+        let row = addrs.iter().enumerate().map(|(t, &addr)| match t == s {
+            true => Ok(None),
+            false => dial(addr)
+                .map(Some)
+                .map_err(|source| SocketError::Connect { to: t, source }),
+        });
+        outs.push(row.collect::<Result<_, _>>()?);
     }
     Ok(outs)
 }
@@ -694,17 +687,14 @@ fn accept_mesh(
         l.set_nonblocking(true).map_err(SocketError::Bind)?;
         while accepted.len() < shards - 1 {
             match l.accept() {
-                Ok((stream, _)) => {
-                    let setup = stream
+                Ok((mut stream, _)) => {
+                    stream
                         .set_nonblocking(false)
                         .and_then(|()| stream.set_nodelay(true))
-                        .and_then(|()| stream.set_read_timeout(Some(read_timeout)));
-                    if setup.is_err() {
-                        return Err(SocketError::Handshake {
+                        .and_then(|()| stream.set_read_timeout(Some(read_timeout)))
+                        .map_err(|_| SocketError::Handshake {
                             detail: "configuring an accepted connection failed",
-                        });
-                    }
-                    let mut stream = stream;
+                        })?;
                     let peer = read_hello(&mut stream, deadline)?;
                     if peer >= shards || peer == t {
                         return Err(SocketError::Handshake {
@@ -780,7 +770,7 @@ fn read_hello(stream: &mut TcpStream, deadline: Instant) -> Result<usize, Socket
 /// or the run aborts.
 fn reader_loop(
     ps: &mut PacketStream,
-    parser: BatchParser,
+    mut parser: BatchParser,
     tx: &Sender<Inbound>,
     abort: &AtomicBool,
 ) {
@@ -814,7 +804,7 @@ mod tests {
     use super::*;
     use crate::engine::fixture::{ring_then_complete, spawn};
     use crate::engine::lockstep::{run_lockstep, run_lockstep_codec};
-    use crate::fault::{seal, CorruptionOverlay};
+    use crate::fault::{encode_packet, seal, CorruptionOverlay};
     use crate::schedule::FixedSchedule;
 
     fn loopback() -> bool {
@@ -831,9 +821,12 @@ mod tests {
             for shards in [1usize, 2, 3] {
                 let s = FixedSchedule::synchronous(n);
                 let until = RunUntil::AllDecided { max_rounds: 20 };
+                // `max_frame` one byte above the largest frame: a batch
+                // holds many frames, and still fits.
+                let mut plan = SocketPlan::new(shards);
+                plan.max_frame = seal(&(10 * n as u64)).len() + 1;
                 let (t1, _) = run_lockstep(&s, spawn(n, 3), until);
-                let (t2, _) = run_socket(&s, spawn(n, 3), until, SocketPlan::new(shards))
-                    .expect("socket run");
+                let (t2, _) = run_socket(&s, spawn(n, 3), until, plan).expect("socket run");
                 assert_eq!(t1.decisions, t2.decisions, "n={n} shards={shards}");
                 assert_eq!(t1.rounds_executed, t2.rounds_executed);
                 assert_eq!(t1.msg_stats, t2.msg_stats);
@@ -911,10 +904,12 @@ mod tests {
         drop(writer);
         let parser = BatchParser {
             peer: 1,
+            senders: 2..4,
             me: 0,
-            n: 4,
             owned: 0..2,
+            n: 4,
             max_frame: 1 << 16,
+            round: FIRST_ROUND,
         };
         let (tx, rx) = unbounded();
         reader_loop(&mut ps, parser, &tx, &AtomicBool::new(false));
@@ -929,33 +924,40 @@ mod tests {
             return;
         }
         let id = ProcessId::from_usize;
-        let batch = |to: usize| {
+        let batch = |edges: &[(usize, usize)]| {
             let mut b = BatchBuilder::new();
-            b.push(0, id(2), id(to), seal(&7u64));
+            for (k, &(from, to)) in edges.iter().enumerate() {
+                b.push(0, id(from), id(to), seal(&(k as u64)));
+            }
             b.encode()
         };
         let packet = |r, from, to, batch: &[u8]| encode_packet(r, id(from), id(to), batch);
-        let good = batch(1);
-        // The control: a well-framed packet is forwarded as one batch, and
-        // the clean close then ends the reader.
-        let got = read_from_shard_1(&packet(1, 1, 0, &good));
+        let good = batch(&[(2, 1)]);
+        // The control: a well-framed round-1 packet is forwarded as one
+        // batch, and the clean close then ends the reader.
+        let first = packet(1, 1, 0, &good);
+        let got = read_from_shard_1(&first);
         assert!(
             matches!(got.as_slice(), [Ok(b)] if b.len() == 1),
             "got {got:?}"
         );
+        // Each hostile packet follows that good one.
         let hostile = [
-            ("truncated batch", packet(1, 1, 0, &good[..good.len() - 2])),
-            ("garbage batch", packet(1, 1, 0, &[0x80, 0x00, 0xde])),
-            ("sender is not the peer", packet(1, 0, 0, &good)),
-            ("receiver is not this shard", packet(1, 1, 1, &good)),
-            ("entry for another shard", packet(1, 1, 0, &batch(3))),
+            ("truncated batch", packet(2, 1, 0, &good[..good.len() - 2])),
+            ("garbage batch", packet(2, 1, 0, &[0x80, 0x00, 0xde])),
+            ("sender is not the peer", packet(2, 0, 0, &good)),
+            ("receiver is not this shard", packet(2, 1, 1, &good)),
+            ("a round again", packet(1, 1, 0, &good)),
+            ("a round skipped", packet(3, 1, 0, &good)),
+            ("to another shard", packet(2, 1, 0, &batch(&[(2, 3)]))),
+            ("from another shard", packet(2, 1, 0, &batch(&[(0, 1)]))),
+            ("edge twice", packet(2, 1, 0, &batch(&[(2, 1), (2, 1)]))),
+            ("disordered", packet(2, 1, 0, &batch(&[(3, 0), (2, 1)]))),
         ];
         for (what, bytes) in hostile {
-            let got = read_from_shard_1(&bytes);
-            assert!(
-                matches!(got.as_slice(), [Err(SocketError::Frame { peer: 1, .. })]),
-                "{what}: got {got:?}"
-            );
+            let got = read_from_shard_1(&[first.as_slice(), &bytes].concat());
+            let typed = matches!(&got[..], [Ok(_), Err(SocketError::Frame { peer: 1, .. })]);
+            assert!(typed, "{what}: got {got:?}");
         }
     }
 

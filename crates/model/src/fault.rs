@@ -56,7 +56,7 @@ use sskel_graph::{Digraph, ProcessId, ProcessSet, Round, FIRST_ROUND};
 
 use crate::adversary::{edge_round_hash, splitmix64};
 use crate::schedule::Schedule;
-use crate::wire::{try_read_uvarint, write_uvarint, Wire, WireError};
+use crate::wire::{try_read_uvarint, uvarint_len, write_uvarint, Wire, WireError};
 
 /// Domain-separation salt mixed into [`CorruptionOverlay`] seeds so a
 /// corruption plane sharing a seed with an adversary family does not
@@ -141,12 +141,19 @@ pub fn open<M: Wire>(frame: &[u8]) -> Result<M, WireError> {
 /// in-process codec engines, whose fault plane only ever touches sealed
 /// frames.
 pub fn encode_packet(r: Round, from: ProcessId, to: ProcessId, frame: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame.len() + 12);
+    let mut out = packet_header(r, from, to, frame.len());
+    out.extend_from_slice(frame);
+    out
+}
+
+/// The [`encode_packet`] header for a `len`-byte frame, in a buffer with
+/// room for the frame.
+fn packet_header(r: Round, from: ProcessId, to: ProcessId, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len + 40);
     write_uvarint(&mut out, u64::from(r));
     write_uvarint(&mut out, from.index() as u64);
     write_uvarint(&mut out, to.index() as u64);
-    write_uvarint(&mut out, frame.len() as u64);
-    out.extend_from_slice(frame);
+    write_uvarint(&mut out, len as u64);
     out
 }
 
@@ -286,19 +293,27 @@ impl PacketBuffer {
 ///
 /// ```text
 /// batch := uvarint group_count, group × group_count
-/// group := uvarint instance_id, uvarint frame_count (≥ 1),
-///          entry × frame_count
-/// entry := uvarint from, uvarint to, uvarint frame_len,
-///          frame_len frame bytes   (a seal()ed frame, trailer intact)
+/// group := uvarint instance_id, uvarint entry_count (≥ 1),
+///          entry × entry_count
+/// entry := uvarint from, uvarint receiver_count (≥ 1),
+///          uvarint to × receiver_count   (strictly increasing),
+///          uvarint frame_len, frame_len frame bytes
+///                                        (a seal()ed frame, trailer intact)
 /// ```
 ///
-/// The encoding is canonical: groups appear in strictly increasing
-/// instance order (enforced by [`BatchBuilder::push`] at build time and by
-/// [`BatchReader`] at decode time), a group is never empty, and nothing
-/// follows the last entry. Like [`encode_packet`], this is *transport*
-/// framing: the per-frame [`seal`] checksum still guards each payload, so
-/// a fault plane keeps tampering individual frames (and the quarantine
-/// ledger stays per-edge), while batch-level damage surfaces as a typed
+/// An entry carries its frame **once** for all its receivers: adjacent
+/// pushes of one instance and sender, to increasing receivers, with
+/// byte-equal frames share one entry. That is the shape of a broadcast, so
+/// a shard worker's batch holds one frame per sender, not one per edge;
+/// [`BatchReader`] hands the pushes back one by one, in push order.
+///
+/// Groups appear in strictly increasing instance order (enforced by
+/// [`BatchBuilder::push`] at build time and by [`BatchReader`] at decode
+/// time), neither a group nor an entry is empty, and nothing follows the
+/// last entry. Like [`encode_packet`], this is *transport* framing: the
+/// per-frame [`seal`] checksum still guards each payload, so a fault plane
+/// keeps tampering individual frames per edge (and the quarantine ledger
+/// stays per-edge), while batch-level damage surfaces as a typed
 /// [`WireError`] from the reader.
 #[derive(Debug, Default)]
 pub struct BatchBuilder {
@@ -314,12 +329,25 @@ impl BatchBuilder {
         BatchBuilder::default()
     }
 
+    /// A builder holding `entries`, as if each had been
+    /// [`push`](BatchBuilder::push)ed in turn — how the socket engine
+    /// encodes a tick's batch without copying it.
+    ///
+    /// # Panics
+    /// Panics if the instance ids decrease, like `push`.
+    pub fn from_entries(entries: Vec<(usize, ProcessId, ProcessId, Bytes)>) -> Self {
+        assert!(
+            entries.windows(2).all(|w| w[0].0 <= w[1].0),
+            "batch entries must be pushed in nondecreasing instance order"
+        );
+        BatchBuilder { entries }
+    }
+
     /// Appends one sealed frame for `instance` on edge `(from → to)`.
     ///
     /// # Panics
     /// Panics if `instance` is smaller than the previously pushed one —
-    /// callers iterate instances in id order, which is what makes the
-    /// encoding canonical without a sort.
+    /// callers iterate instances in id order, so the groups need no sort.
     pub fn push(&mut self, instance: usize, from: ProcessId, to: ProcessId, frame: Bytes) {
         if let Some((last, ..)) = self.entries.last() {
             assert!(
@@ -348,37 +376,91 @@ impl BatchBuilder {
         self.entries.clear();
     }
 
-    /// Encodes the queued frames into one batch packet.
+    /// Encodes the queued frames into one batch.
     pub fn encode(&self) -> Vec<u8> {
-        let mut groups = 0u64;
-        let mut prev = None;
-        for (i, ..) in &self.entries {
-            if prev != Some(*i) {
-                groups += 1;
-                prev = Some(*i);
-            }
-        }
         let mut out = Vec::new();
-        write_uvarint(&mut out, groups);
-        let mut k = 0;
-        while k < self.entries.len() {
-            let instance = self.entries[k].0;
-            let run_end = self.entries[k..]
-                .iter()
-                .position(|(i, ..)| *i != instance)
-                .map_or(self.entries.len(), |off| k + off);
-            write_uvarint(&mut out, instance as u64);
-            write_uvarint(&mut out, (run_end - k) as u64);
-            for (_, from, to, frame) in &self.entries[k..run_end] {
-                write_uvarint(&mut out, from.index() as u64);
-                write_uvarint(&mut out, to.index() as u64);
-                write_uvarint(&mut out, frame.len() as u64);
-                out.extend_from_slice(frame);
-            }
-            k = run_end;
-        }
+        self.write(&mut out);
         out
     }
+
+    /// Encodes the queued frames as one [`encode_packet`] stream packet:
+    /// the bytes of `encode_packet(r, from, to, &self.encode())`, written
+    /// into one buffer.
+    pub fn encode_packet(&self, r: Round, from: ProcessId, to: ProcessId) -> Vec<u8> {
+        let mut len = 0;
+        self.write(&mut len);
+        let mut out = packet_header(r, from, to, len);
+        self.write(&mut out);
+        out
+    }
+
+    /// Writes the batch into `out`, or adds up its length.
+    fn write(&self, out: &mut impl Sink) {
+        let groups = || self.entries.chunk_by(|a, b| a.0 == b.0);
+        out.varint(groups().count());
+        for group in groups() {
+            let fans = || group.chunk_by(|a, b| a.1 == b.1 && a.2 < b.2 && same_bytes(&a.3, &b.3));
+            out.varint(group[0].0);
+            out.varint(fans().count());
+            for fan in fans() {
+                let (_, from, _, frame) = &fan[0];
+                out.varint(from.index());
+                out.varint(fan.len());
+                for (_, _, to, _) in fan {
+                    out.varint(to.index());
+                }
+                out.varint(frame.len());
+                out.bytes(frame);
+            }
+        }
+    }
+}
+
+/// Whether two frames hold the same bytes. A broadcast's frames share one
+/// buffer, which the pointer comparison settles without reading it.
+fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
+    (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
+}
+
+/// Where [`BatchBuilder`] writes a batch: into a buffer, or into a byte
+/// count that sizes the packet header ahead of the batch.
+trait Sink {
+    fn varint(&mut self, v: usize);
+    fn bytes(&mut self, b: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn varint(&mut self, v: usize) {
+        write_uvarint(self, v as u64);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+}
+
+impl Sink for usize {
+    fn varint(&mut self, v: usize) {
+        *self += uvarint_len(v as u64);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        *self += b.len();
+    }
+}
+
+/// The longest batch of one instance in which each of `senders` senders
+/// ships one frame of at most `max_frame` bytes to at most `receivers`
+/// receivers — one shard pair's batch in one tick of a one-instance run.
+/// A stream reader caps batch packets at this, so every frame up to
+/// `max_frame` still fits.
+pub(crate) fn max_batch_len(senders: usize, receivers: usize, max_frame: usize) -> usize {
+    // A uvarint takes at most 10 bytes: the three batch and group header
+    // varints, and per entry its sender, receiver count, frame length and
+    // every receiver.
+    let entry = receivers.saturating_add(3).saturating_mul(10);
+    entry
+        .saturating_add(max_frame)
+        .saturating_mul(senders)
+        .saturating_add(30)
 }
 
 /// One frame pulled out of a batch by [`BatchReader::next_frame`].
@@ -390,7 +472,8 @@ pub struct BatchFrame<'a> {
     pub from: ProcessId,
     /// The receiver (an index into the instance's own universe).
     pub to: ProcessId,
-    /// The still-sealed frame bytes, borrowed from the batch buffer.
+    /// The still-sealed frame bytes, borrowed from the batch buffer; every
+    /// receiver of one entry borrows the same bytes.
     pub frame: &'a [u8],
     /// Byte offset of `frame` inside the batch buffer — lets a caller
     /// holding the batch as [`Bytes`] take a zero-copy refcounted slice
@@ -406,10 +489,10 @@ pub struct BatchFrame<'a> {
 /// * truncation anywhere (mid-varint, mid-group, mid-frame) is
 ///   [`WireError::UnexpectedEnd`];
 /// * an instance id outside the registered universe table, a duplicate or
-///   out-of-order group, an empty group, an endpoint outside the
-///   instance's universe, a frame length beyond `max_frame`, or bytes
-///   after the last group are all [`WireError::InvalidValue`] with a
-///   distinct message;
+///   out-of-order group, an empty group or entry, an endpoint outside the
+///   instance's universe, an entry's receivers out of order, a frame
+///   length beyond `max_frame`, or bytes after the last group are all
+///   [`WireError::InvalidValue`] with a distinct message;
 /// * padded varints are [`WireError::NonCanonical`] (from the shared
 ///   uvarint decoder).
 ///
@@ -428,6 +511,11 @@ pub struct BatchReader<'a> {
     entries_left: u64,
     cur_instance: usize,
     last_instance: Option<usize>,
+    /// The current entry: its sender, its frame and the frame's offset,
+    /// and the receivers not yet handed out, last first.
+    cur_from: ProcessId,
+    cur_frame: (&'a [u8], usize),
+    tos: Vec<ProcessId>,
 }
 
 impl<'a> BatchReader<'a> {
@@ -444,6 +532,9 @@ impl<'a> BatchReader<'a> {
             entries_left: 0,
             cur_instance: 0,
             last_instance: None,
+            cur_from: ProcessId::from_usize(0),
+            cur_frame: (&[], 0),
+            tos: Vec::new(),
         }
     }
 
@@ -464,69 +555,89 @@ impl<'a> BatchReader<'a> {
             self.groups_left = self.read_varint()?;
             self.started = true;
         }
-        while self.entries_left == 0 {
-            if self.groups_left == 0 {
-                if self.pos < self.buf.len() {
-                    return Err(WireError::InvalidValue("trailing bytes after batch"));
-                }
-                return Ok(None);
+        loop {
+            if let Some(to) = self.tos.pop() {
+                return Ok(Some(BatchFrame {
+                    instance: self.cur_instance,
+                    from: self.cur_from,
+                    to,
+                    frame: self.cur_frame.0,
+                    offset: self.cur_frame.1,
+                }));
             }
-            let id = self.read_varint()?;
-            if id >= self.universes.len() as u64 {
-                return Err(WireError::InvalidValue("unknown instance id in batch"));
-            }
-            let id = id as usize;
-            match self.last_instance {
-                Some(last) if id == last => {
-                    return Err(WireError::InvalidValue("duplicate instance group in batch"));
+            while self.entries_left == 0 {
+                if self.groups_left == 0 {
+                    if self.pos < self.buf.len() {
+                        return Err(WireError::InvalidValue("trailing bytes after batch"));
+                    }
+                    return Ok(None);
                 }
-                Some(last) if id < last => {
-                    return Err(WireError::InvalidValue(
-                        "batch instance groups out of order",
-                    ));
+                let id = self.read_varint()?;
+                if id >= self.universes.len() as u64 {
+                    return Err(WireError::InvalidValue("unknown instance id in batch"));
                 }
-                _ => {}
+                let id = id as usize;
+                match self.last_instance {
+                    Some(last) if id == last => {
+                        return Err(WireError::InvalidValue("duplicate instance group in batch"));
+                    }
+                    Some(last) if id < last => {
+                        return Err(WireError::InvalidValue(
+                            "batch instance groups out of order",
+                        ));
+                    }
+                    _ => {}
+                }
+                let count = self.read_varint()?;
+                if count == 0 {
+                    return Err(WireError::InvalidValue("empty instance group in batch"));
+                }
+                self.cur_instance = id;
+                self.last_instance = Some(id);
+                self.entries_left = count;
+                self.groups_left -= 1;
             }
+            let from = self.read_varint()?;
             let count = self.read_varint()?;
             if count == 0 {
-                return Err(WireError::InvalidValue("empty instance group in batch"));
+                return Err(WireError::InvalidValue("batch entry without receivers"));
             }
-            self.cur_instance = id;
-            self.last_instance = Some(id);
-            self.entries_left = count;
-            self.groups_left -= 1;
+            // lint: allow(panic) — `cur_instance` was range-checked against
+            // `universes.len()` when its group header was parsed above.
+            let n = self.universes[self.cur_instance] as u64;
+            let mut prev = None;
+            // Each pass consumes a byte or fails, so a hostile count is
+            // bounded by the buffer.
+            for _ in 0..count {
+                let to = self.read_varint()?;
+                if from >= n || to >= n {
+                    return Err(WireError::InvalidValue(
+                        "batch endpoint outside instance universe",
+                    ));
+                }
+                if prev.is_some_and(|p| to <= p) {
+                    return Err(WireError::InvalidValue("batch receivers out of order"));
+                }
+                prev = Some(to);
+                self.tos.push(ProcessId::from_usize(to as usize));
+            }
+            self.tos.reverse();
+            let len = self.read_varint()?;
+            if len > self.max_frame as u64 {
+                return Err(WireError::InvalidValue("frame length exceeds cap"));
+            }
+            let len = len as usize;
+            if self.buf.len() - self.pos < len {
+                return Err(WireError::UnexpectedEnd);
+            }
+            let offset = self.pos;
+            // lint: allow(panic) — guarded four lines up: `buf.len() - pos >=
+            // len` or we returned `UnexpectedEnd`.
+            self.cur_frame = (&self.buf[offset..offset + len], offset);
+            self.cur_from = ProcessId::from_usize(from as usize);
+            self.pos += len;
+            self.entries_left -= 1;
         }
-        let from = self.read_varint()?;
-        let to = self.read_varint()?;
-        // lint: allow(panic) — `cur_instance` was range-checked against
-        // `universes.len()` when its group header was parsed above.
-        let n = self.universes[self.cur_instance] as u64;
-        if from >= n || to >= n {
-            return Err(WireError::InvalidValue(
-                "batch endpoint outside instance universe",
-            ));
-        }
-        let len = self.read_varint()?;
-        if len > self.max_frame as u64 {
-            return Err(WireError::InvalidValue("frame length exceeds cap"));
-        }
-        let len = len as usize;
-        if self.buf.len() - self.pos < len {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let offset = self.pos;
-        // lint: allow(panic) — guarded four lines up: `buf.len() - pos >=
-        // len` or we returned `UnexpectedEnd`.
-        let frame = &self.buf[offset..offset + len];
-        self.pos += len;
-        self.entries_left -= 1;
-        Ok(Some(BatchFrame {
-            instance: self.cur_instance,
-            from: ProcessId::from_usize(from as usize),
-            to: ProcessId::from_usize(to as usize),
-            frame,
-            offset,
-        }))
     }
 }
 
@@ -1253,6 +1364,42 @@ mod tests {
     }
 
     #[test]
+    fn batch_ships_a_broadcast_frame_once_for_its_receivers() {
+        // Sender 1's broadcast reaches 0, 2 and 3 through one shared frame
+        // (the last receiver holding a byte-equal copy); then sender 1
+        // sends another frame, and receiver 2 comes again out of order.
+        let big = Bytes::from(vec![7u8; 200]);
+        let pushes = vec![
+            (0, p(1), p(0), big.clone()),
+            (0, p(1), p(2), big.clone()),
+            (0, p(1), p(3), Bytes::from(big.to_vec())),
+            (0, p(1), p(1), seal(&5u64)),
+            (0, p(1), p(0), seal(&5u64)),
+            (1, p(0), p(0), big.clone()),
+        ];
+        let b = BatchBuilder::from_entries(pushes.clone());
+        let bytes = b.encode();
+        // Three entries carry `big`, not four.
+        assert!(bytes.len() < 3 * big.len() + 40, "{} bytes", bytes.len());
+        let universes = [4usize, 1];
+        let mut rd = BatchReader::new(&bytes, &universes, 1 << 20);
+        let mut offsets = Vec::new();
+        for (i, from, to, frame) in &pushes {
+            let f = rd.next_frame().expect("valid batch").expect("frame");
+            assert_eq!((f.instance, f.from, f.to), (*i, *from, *to));
+            assert_eq!(f.frame, &frame[..]);
+            offsets.push(f.offset);
+        }
+        assert_eq!(rd.next_frame(), Ok(None));
+        assert_eq!(offsets[0], offsets[2], "one frame for the first three");
+        assert_ne!(offsets[3], offsets[4], "receivers 1 then 0 need two");
+        assert_eq!(
+            b.encode_packet(9, p(2), p(5)),
+            encode_packet(9, p(2), p(5), &bytes)
+        );
+    }
+
+    #[test]
     fn batch_reader_types_every_defect() {
         let universes = [3usize, 3];
         let read_all = |bytes: &[u8], max_frame: usize| {
@@ -1293,45 +1440,49 @@ mod tests {
             read_all(&b.encode(), 1 << 20),
             Err(WireError::InvalidValue("unknown instance id in batch"))
         );
-        // duplicate group: hand-encode two groups with the same id
-        let mut dup = Vec::new();
-        write_uvarint(&mut dup, 2); // group count
-        for _ in 0..2 {
-            write_uvarint(&mut dup, 1); // instance id
-            write_uvarint(&mut dup, 1); // frame count
-            write_uvarint(&mut dup, 0); // from
-            write_uvarint(&mut dup, 1); // to
-            write_uvarint(&mut dup, 0); // frame length
-        }
+        // Hand-encoded batches: each `entry` is `[from, 1 receiver, to,
+        // frame length 0]`.
+        let enc = |vs: &[u64]| {
+            let mut out = Vec::new();
+            for &v in vs {
+                write_uvarint(&mut out, v);
+            }
+            out
+        };
+        let entry = [0, 1, 1, 0];
+        // duplicate group: two groups with the same id
+        let dup = enc(&[[2, 1, 1].as_slice(), &entry, &[1, 1], &entry].concat());
         assert_eq!(
             read_all(&dup, 1 << 20),
             Err(WireError::InvalidValue("duplicate instance group in batch"))
         );
         // out-of-order groups
-        let mut ooo = Vec::new();
-        write_uvarint(&mut ooo, 2);
-        for id in [1u64, 0] {
-            write_uvarint(&mut ooo, id);
-            write_uvarint(&mut ooo, 1);
-            write_uvarint(&mut ooo, 0);
-            write_uvarint(&mut ooo, 1);
-            write_uvarint(&mut ooo, 0);
-        }
+        let ooo = enc(&[[2, 1, 1].as_slice(), &entry, &[0, 1], &entry].concat());
         assert_eq!(
             read_all(&ooo, 1 << 20),
             Err(WireError::InvalidValue(
                 "batch instance groups out of order"
             ))
         );
-        // empty group
-        let mut empty_group = Vec::new();
-        write_uvarint(&mut empty_group, 1);
-        write_uvarint(&mut empty_group, 0); // instance
-        write_uvarint(&mut empty_group, 0); // zero frames
+        // empty group: instance 0 with zero entries
         assert_eq!(
-            read_all(&empty_group, 1 << 20),
+            read_all(&enc(&[1, 0, 0]), 1 << 20),
             Err(WireError::InvalidValue("empty instance group in batch"))
         );
+        // an entry with no receivers
+        assert_eq!(
+            read_all(&enc(&[1, 0, 1, 0, 0, 0]), 1 << 20),
+            Err(WireError::InvalidValue("batch entry without receivers"))
+        );
+        // an entry's receivers must strictly increase
+        for tos in [[2, 1], [1, 1]] {
+            let bad = enc(&[[1, 0, 1, 0, 2].as_slice(), &tos, &[0]].concat());
+            assert_eq!(
+                read_all(&bad, 1 << 20),
+                Err(WireError::InvalidValue("batch receivers out of order")),
+                "receivers {tos:?}"
+            );
+        }
         // endpoint outside the instance's universe
         let mut b = BatchBuilder::new();
         b.push(0, p(0), p(5), seal(&5u64));

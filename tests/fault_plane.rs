@@ -530,7 +530,8 @@ fn hostile_batch_framing_fails_typed_never_panics() {
     write_uvarint(&mut bad, 1); // one group
     write_uvarint(&mut bad, 9); // instance 9: not served here
     write_uvarint(&mut bad, 1);
-    for v in [0u64, 1, 2] {
+    // one entry: from 0, one receiver, to 1, a 2-byte frame
+    for v in [0u64, 1, 1, 2] {
         write_uvarint(&mut bad, v);
     }
     bad.extend_from_slice(b"xy");
@@ -545,7 +546,7 @@ fn hostile_batch_framing_fails_typed_never_panics() {
     for _ in 0..2 {
         write_uvarint(&mut dup, 0); // instance 0, twice
         write_uvarint(&mut dup, 1);
-        for v in [0u64, 1, 1] {
+        for v in [0u64, 1, 1, 1] {
             write_uvarint(&mut dup, v);
         }
         dup.extend_from_slice(b"z");
