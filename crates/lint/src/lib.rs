@@ -138,12 +138,12 @@ impl Default for Config {
                         "read_hello",
                     ]),
                 },
-                // Crash-recovery restore/replay paths; the journal resume
-                // entry point parses on-disk bytes a crashed (or hostile)
-                // writer controls.
+                // Crash-recovery restore/replay paths and their one replay
+                // step; the journal resume entry point parses on-disk bytes
+                // a crashed (or hostile) writer controls.
                 Zone {
                     file: "crates/model/src/engine/recovery.rs",
-                    fns: Some(&["recover", "resume_from_journal"]),
+                    fns: Some(&["recover", "deliver", "resume_from_journal"]),
                 },
                 // The durable run store: every decode path in it reads
                 // adversarial input (a journal file is whatever is on

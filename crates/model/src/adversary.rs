@@ -499,11 +499,13 @@ impl<S: Schedule> Schedule for CrashOverlay<S> {
 /// process is **down** for a finite window of rounds `[kill, restart)` —
 /// it neither sends to nor hears from anyone else (both edge directions
 /// are erased; the mandatory self-loop stays) — and runs normally before
-/// and after. This is the schedule-level shadow of the recovery drill in
-/// [`crate::engine::run_lockstep_recovering`]: the engine kills the
-/// process's in-memory state at `kill` and resumes it from its last
-/// snapshot at `restart`, while this overlay tells every *other* process
-/// exactly what that outage looks like on the wire.
+/// and after. It is the schedule of the recovery drill in
+/// [`crate::engine::run_lockstep_recovering`], which journals the run and,
+/// when a window ends, discards the process's state and rebuilds it from
+/// the journal: the last snapshot before `kill`, plus the round records
+/// since, replayed along this overlay's graphs. The overlay says what the
+/// outage looks like on the wire, both to the other processes and to the
+/// down process itself.
 ///
 /// Because the skeleton is a running intersection, a non-empty window
 /// removes the process's external edges from `G∩∞` forever — a restarted
@@ -576,13 +578,6 @@ impl<S: Schedule> CrashRestartOverlay<S> {
     /// The set of processes that are down at some point.
     pub fn faulty(&self) -> ProcessSet {
         ProcessSet::from_iter_n(self.base.n(), self.windows.iter().map(|&(p, _, _)| p))
-    }
-
-    /// `true` iff `p` is down in round `r`.
-    pub fn is_down(&self, p: ProcessId, r: Round) -> bool {
-        self.windows
-            .iter()
-            .any(|&(q, kill, restart)| q == p && r >= kill && r < restart)
     }
 
     fn silence(&self, g: &mut Digraph, r: Round) {

@@ -55,7 +55,7 @@ where
         &CodecTransport::new(plane),
         FIRST_ROUND,
         RunTrace::new(schedule.n()),
-        |_, _, _: &[A], _| Ok::<(), Infallible>(()),
+        |_, _, _, _| Ok::<(), Infallible>(()),
     );
     out
 }
@@ -83,7 +83,7 @@ where
         &ArcTransport,
         FIRST_ROUND,
         RunTrace::new(schedule.n()),
-        |r, _, algs: &[A], _| {
+        |r, _, algs, _| {
             observer(r, algs);
             Ok::<(), Infallible>(())
         },
@@ -101,7 +101,9 @@ where
 /// whatever earlier rounds recorded (a journal resume replays those).
 /// After each round, once decisions are polled, `end_of_round(r, frames,
 /// algs, trace)` sees the round's packed broadcast frames; its first
-/// error ends the run. Observers and the journal writer are such hooks.
+/// error ends the run. Observers and the journal writer are such hooks
+/// and only read the states; the crash/restart drill's hook also swaps a
+/// restarted process's rebuilt state in, which the next round then runs.
 ///
 /// # Panics
 /// Panics if `algs.len() != schedule.n()`.
@@ -112,7 +114,7 @@ pub(crate) fn run_transport<S, A, T, E>(
     transport: &T,
     start: Round,
     mut trace: RunTrace,
-    mut end_of_round: impl FnMut(Round, &[T::Frame], &[A], &RunTrace) -> Result<(), E>,
+    mut end_of_round: impl FnMut(Round, &[T::Frame], &mut [A], &RunTrace) -> Result<(), E>,
 ) -> Result<(RunTrace, Vec<A>), E>
 where
     S: Schedule + ?Sized,
@@ -183,7 +185,7 @@ where
         }
 
         trace.rounds_executed = r;
-        end_of_round(r, &frames, &algs, &trace)?;
+        end_of_round(r, &frames, &mut algs, &trace)?;
 
         if until.should_stop(r, trace.all_decided()) {
             break;

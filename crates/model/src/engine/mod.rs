@@ -34,8 +34,9 @@
 //! multiplex engines are codec-only) that routes every payload through the
 //! wire codec and a [`crate::fault::FaultPlane`] (Byzantine frame
 //! corruption, quarantine-and-survive receivers), and
-//! [`recovery::run_lockstep_recovering`] adds crash/restart recovery from
-//! snapshots taken at the canonical rebase cut points.
+//! [`recovery::run_lockstep_recovering`] adds crash/restart recovery: a
+//! journaled lockstep run that rebuilds each restarted process from its
+//! own journal, through the replay step a journal resume uses.
 
 pub mod lockstep;
 pub mod multiplex;
@@ -78,17 +79,6 @@ impl RunUntil {
         match self {
             RunUntil::Rounds(max) => r >= max,
             RunUntil::AllDecided { max_rounds } => all_decided || r >= max_rounds,
-        }
-    }
-
-    /// The round the run stops at when the stop condition depends on
-    /// nothing but the round number. Crash/restart recovery requires one:
-    /// a down process cannot take part in an all-decided verdict.
-    #[inline]
-    pub(crate) fn static_horizon(self) -> Option<Round> {
-        match self {
-            RunUntil::Rounds(max) => Some(max),
-            RunUntil::AllDecided { .. } => None,
         }
     }
 }

@@ -1,33 +1,32 @@
-//! Crash/restart recovery drill: kill a process mid-run, resume it from
-//! its last snapshot, and end up byte-identical to never having crashed.
+//! Crash/restart recovery and the durable run store: kill a process
+//! mid-run, rebuild it from a journal, and end up byte-identical to never
+//! having crashed.
 //!
-//! [`run_lockstep_recovering`] executes a codec-boundary lockstep run over
-//! a [`CrashRestartOverlay`], but instead of merely *simulating* each down
-//! window at the schedule level it performs the full recovery protocol:
+//! [`run_lockstep_journaled`] is the codec lockstep round body plus a hook
+//! that appends each round's sealed frames, and a snapshot at every cut
+//! point all processes share, to a journal. [`resume_from_journal`]
+//! restarts a killed run from the bytes such a journal left behind.
 //!
-//! * every process with a down window keeps a **durable store** — the
-//!   wire-codec snapshot ([`crate::algorithm::Recoverable`]) taken at its
-//!   most recent canonical cut point, plus a log of the frames delivered
-//!   to it since;
-//! * at the window's `kill` round the process's in-memory state is
-//!   **destroyed** — from that round on it neither sends nor receives
-//!   (matching the overlay's round graphs, which erase its external edges
-//!   in both directions);
-//! * at `restart` (or at run end, for windows still open at the horizon)
-//!   the process is rebuilt from the snapshot and **replayed** forward:
-//!   logged rounds re-feed the surviving frames (without re-recording
-//!   stats or faults — those were recorded when the rounds originally
-//!   ran), and down rounds re-execute the hear-only-yourself round the
-//!   process would have run in isolation, adding exactly the accounting
-//!   the main loop skipped.
+//! [`run_lockstep_recovering`] is the same journaled run, into memory, over
+//! a [`CrashRestartOverlay`]. A down process keeps executing through its
+//! window: the overlay leaves it only its self-loop, so it hears nobody
+//! and nobody hears it. When the window ends (at the end of round
+//! `restart − 1`, or at run end for windows still open) its state is
+//! discarded and rebuilt from the journal: the last snapshot cut before
+//! `kill`, plus every later round record replayed into it. Rounds are
+//! communication-closed, so those records hold everything the process
+//! received since the cut.
 //!
-//! The resulting trace — decisions, rounds, message stats, fault ledger —
-//! is **byte-identical** to [`super::run_lockstep_codec`] over the same
-//! overlay and fault plane with no kill at all (pinned by the tests below
-//! and by `tests/fault_plane.rs` for Algorithm 1): recovery is
-//! indistinguishable from never having crashed.
+//! Both replays go through one step, `deliver`: a process's in-edges in
+//! the round's graph, carrying the round record's frames through the pure
+//! fault plane. The drill records every trace component live, the down
+//! process's isolated rounds included, exactly as
+//! [`super::run_lockstep_codec`] does, so its trace is byte-identical to
+//! that run's and its rebuilt states equal the uninterrupted run's (pinned
+//! by the tests below and by `tests/fault_plane.rs` for Algorithm 1):
+//! recovery is indistinguishable from never having crashed.
 
-use std::sync::Arc;
+use std::io::Write;
 
 use bytes::Bytes;
 use sskel_graph::{Digraph, ProcessId, Round, FIRST_ROUND};
@@ -36,7 +35,7 @@ use crate::adversary::CrashRestartOverlay;
 use crate::algorithm::{Received, Recoverable};
 use crate::engine::lockstep::run_transport;
 use crate::engine::{settle, RunUntil};
-use crate::fault::{CodecTransport, Delivery, FaultPlane, Transport};
+use crate::fault::{CodecTransport, FaultPlane, FaultStats, Transport};
 use crate::journal::{
     scan, JournalHeader, JournalWriter, ResumeError, RoundRecord, RunMeta, SnapshotRecord,
     ENGINE_LOCKSTEP_JOURNALED, JOURNAL_VERSION,
@@ -45,33 +44,18 @@ use crate::schedule::Schedule;
 use crate::trace::RunTrace;
 use crate::wire::{Wire, WireError, WireSized};
 
-/// One process's durable store: the last snapshot and everything needed
-/// to catch back up from it.
-struct Store {
-    kill: Round,
-    restart: Round,
-    /// Round of the last snapshot (`0` = the initial state).
-    cut: Round,
-    snapshot: Bytes,
-    /// `log[i]` = the frames delivered in round `cut + 1 + i`, while the
-    /// process was still up: `(sender, sealed frame)` for every frame
-    /// that unpacked to a delivery (faulted frames are not replayed —
-    /// their fault records were written when the round ran).
-    log: Vec<Vec<(ProcessId, Bytes)>>,
-}
-
 /// Runs `algs` against `overlay` in codec-boundary mode, executing each
-/// down window as a real kill + snapshot-restore + replay (see the module
-/// docs). The trace is byte-identical to
-/// [`super::run_lockstep_codec`]`(&overlay, …, plane)`.
+/// down window as a real restart: when the window ends, the process's
+/// state is discarded and rebuilt from the run's in-memory journal (see
+/// the module docs). The trace and the final states are byte-identical to
+/// [`super::run_lockstep_codec`]`(&overlay, …, plane)`, under either stop
+/// condition.
 ///
 /// # Panics
-/// Panics if `algs.len() != overlay.n()`, or if `until` has no static
-/// horizon ([`RunUntil::Rounds`] is required: a down process cannot take
-/// part in a global all-decided stop condition).
+/// Panics if `algs.len() != overlay.n()`.
 pub fn run_lockstep_recovering<S, A, P>(
     overlay: &CrashRestartOverlay<S>,
-    mut algs: Vec<A>,
+    algs: Vec<A>,
     until: RunUntil,
     plane: &P,
 ) -> (RunTrace, Vec<A>)
@@ -81,221 +65,114 @@ where
     A::Msg: Wire,
     P: FaultPlane,
 {
-    let n = overlay.n();
-    assert_eq!(
-        algs.len(),
-        n,
-        "need exactly one algorithm instance per process"
-    );
-    let horizon = until
-        .static_horizon()
-        .expect("crash/restart recovery needs a fixed horizon (RunUntil::Rounds)");
+    // The journal is bytes this run writes into memory and reads back, so
+    // neither appending to it nor replaying it can fail.
+    const OWN_JOURNAL: &str = "the drill replays the journal it just wrote";
     let transport = CodecTransport::new(plane);
-    let mut trace = RunTrace::new(n);
-
-    // One durable store per process with a down window; everyone else
-    // needs no recovery machinery.
-    let mut stores: Vec<Option<Store>> = (0..n).map(|_| None).collect();
+    let mut journal = Vec::new();
+    let meta = RunMeta {
+        seed: 0,
+        rebase_limit: 0,
+    };
+    start_journal(&mut journal, &meta, &algs).expect(OWN_JOURNAL);
+    let (trace, mut algs) = run_transport(
+        overlay,
+        algs,
+        until,
+        &transport,
+        FIRST_ROUND,
+        RunTrace::new(overlay.n()),
+        |r, frames, algs, trace| {
+            let mut writer = JournalWriter::resume(&mut journal);
+            journal_round(&mut writer, r, frames, algs, trace)?;
+            // A window ending here: its process rejoins in round `r + 1`.
+            for &(p, kill, restart) in overlay.windows() {
+                if restart == r + 1 {
+                    algs[p.index()] = recover(overlay, &journal, p, kill, &transport)?;
+                }
+            }
+            Ok::<(), ResumeError>(())
+        },
+    )
+    .expect(OWN_JOURNAL);
+    // Windows still open when the run stopped end with it.
+    let last = trace.rounds_executed;
     for &(p, kill, restart) in overlay.windows() {
-        stores[p.index()] = Some(Store {
-            kill,
-            restart,
-            cut: 0,
-            snapshot: algs[p.index()].snapshot(),
-            log: Vec::new(),
-        });
-    }
-
-    let mut live: Vec<Option<A>> = algs.drain(..).map(Some).collect();
-    let mut g = Digraph::empty(n);
-    let mut frames: Vec<Option<Bytes>> = vec![None; n];
-    let mut rcv: Received<A::Msg> = Received::new(n);
-
-    for r in FIRST_ROUND..=horizon {
-        // Kill and restart events fire at the top of the round: a killed
-        // process misses this round's broadcast, a restarted one rejoins
-        // it (the overlay's graphs cut over at exactly these rounds).
-        for (p, store) in stores.iter().enumerate() {
-            let Some(store) = store else { continue };
-            if r == store.kill {
-                live[p] = None; // the in-memory state dies with the process
-            }
-            if r == store.restart {
-                live[p] = Some(recover(
-                    ProcessId::from_usize(p),
-                    store,
-                    r,
-                    &transport,
-                    &mut trace,
-                    &mut rcv,
-                ));
-            }
-        }
-
-        overlay.graph_into(r, &mut g);
-
-        // Send phase (live processes only; a down process has no edges in
-        // the round graph beyond its self-loop, and its isolated rounds
-        // are re-executed — and accounted — at replay time).
-        for (p, alg) in live.iter().enumerate() {
-            let pid = ProcessId::from_usize(p);
-            let Some(alg) = alg else {
-                frames[p] = None;
-                continue;
-            };
-            let msg = Arc::new(alg.send(r));
-            let cnt = <CodecTransport<&P> as Transport<A::Msg>>::delivered_count(
-                &transport,
-                r,
-                pid,
-                g.out_neighbors(pid),
-            );
-            trace.msg_stats.add_broadcast(msg.wire_bytes() as u64, cnt);
-            frames[p] = Some(transport.pack(&msg));
-        }
-
-        // Deliver + transition phase.
-        for p in 0..n {
-            let pid = ProcessId::from_usize(p);
-            let wants_log = stores[p].as_ref().is_some_and(|s| r < s.kill);
-            let Some(alg) = live[p].as_mut() else {
-                continue;
-            };
-            rcv.clear();
-            let mut logged: Vec<(ProcessId, Bytes)> = Vec::new();
-            for q in g.in_neighbors(pid).iter() {
-                // Every in-neighbor is live: a down process's out-edges
-                // are erased from the overlay's round graph.
-                let frame = frames[q.index()]
-                    .clone()
-                    .expect("a live process has only live in-neighbors");
-                let d = transport.unpack(r, q, pid, frame.clone());
-                if let Some(m) = settle(d, r, q, pid, &mut trace.faults) {
-                    rcv.insert(q, m);
-                    if wants_log {
-                        logged.push((q, frame));
-                    }
-                }
-            }
-            alg.receive(r, &rcv);
-            if let Some(v) = alg.decision() {
-                trace.record_decision(pid, r, v);
-            }
-            // Durable-store maintenance while the kill is still ahead: a
-            // due round replaces the snapshot and empties the log, any
-            // other round appends its deliveries.
-            if wants_log {
-                let store = stores[p].as_mut().expect("wants_log implies a store");
-                if alg.snapshot_due(r) {
-                    store.cut = r;
-                    store.snapshot = alg.snapshot();
-                    store.log.clear();
-                } else {
-                    store.log.push(logged);
-                }
-            }
-        }
-        rcv.clear();
-        trace.rounds_executed = r;
-    }
-
-    // Windows still open at the horizon: bring the process back up at run
-    // end, so its final state (and any decision it reached while
-    // isolated) matches the uninterrupted run.
-    for (p, store) in stores.iter().enumerate() {
-        let Some(store) = store else { continue };
-        if live[p].is_none() {
-            live[p] = Some(recover(
-                ProcessId::from_usize(p),
-                store,
-                horizon + 1,
-                &transport,
-                &mut trace,
-                &mut rcv,
-            ));
+        if kill <= last && restart > last + 1 {
+            algs[p.index()] = recover(overlay, &journal, p, kill, &transport).expect(OWN_JOURNAL);
         }
     }
-
-    trace.faults.finalize();
-    let algs = live
-        .into_iter()
-        .map(|a| a.expect("every process is live again at run end"))
-        .collect();
     (trace, algs)
 }
 
-/// Restores `p` from its durable store and replays it forward to the
-/// beginning of round `now`: logged rounds re-feed the surviving frames
-/// (no stats, no faults — both were recorded live), down rounds
-/// re-execute the isolated hear-only-yourself round and add the
-/// accounting the main loop skipped.
-fn recover<A, T>(
+/// Rebuilds process `p`, down since round `kill`, from the drill's
+/// journal: restores the last snapshot cut before `kill` and replays every
+/// later round record into it through [`deliver`]. For Algorithm 1 and
+/// the test fixture, the journal's all-process cuts are the rounds `p`
+/// would pick by itself. The replayed rounds' faults were filed when they
+/// ran live, so the ledger this replay fills is discarded.
+fn recover<S, A, T>(
+    schedule: &S,
+    journal: &[u8],
     p: ProcessId,
-    store: &Store,
-    now: Round,
+    kill: Round,
     transport: &T,
-    trace: &mut RunTrace,
-    rcv: &mut Received<A::Msg>,
-) -> A
+) -> Result<A, WireError>
 where
+    S: Schedule + ?Sized,
     A: Recoverable,
-    A::Msg: WireSized,
     T: Transport<A::Msg, Frame = Bytes>,
 {
-    // The snapshot is bytes this process wrote via `Recoverable::snapshot`
-    // — not adversarial input — and the round-trip is proptested.
-    // lint: allow(panic) — restore failure is a harness bug, not wire data.
-    let mut alg = A::restore(&store.snapshot)
-        .expect("snapshot written by Recoverable::snapshot must restore");
-    debug_assert_eq!(
-        store.log.len() as Round,
-        store.kill.min(now) - store.cut - 1,
-        "one log entry per live round since the cut"
-    );
-    for r in store.cut + 1..now {
-        rcv.clear();
-        if r < store.kill {
-            // A round the process executed live before the kill.
-            // lint: allow(panic) — index bounded by the debug_assert
-            // above: one log entry per live round in `cut+1..kill`.
-            let entries = &store.log[(r - store.cut - 1) as usize];
-            for (q, frame) in entries {
-                match transport.unpack(r, *q, p, frame.clone()) {
-                    Delivery::Deliver(m) => rcv.insert(*q, m),
-                    // The log holds only frames that unpacked to a
-                    // delivery, and the fault plane is pure.
-                    // lint: allow(panic) — fault-plane purity invariant;
-                    // not reachable from wire input, only a harness bug.
-                    _ => unreachable!("logged frame faulted on replay"),
-                }
-            }
-        } else {
-            // A round the process was down for. In the overlay's graph
-            // its only remaining edge is the mandatory self-loop, so the
-            // round it would have run in isolation is: broadcast to
-            // yourself, hear yourself, transition. Loopback frames are
-            // never tampered (the FaultPlane contract), so the one
-            // delivery always survives — account it exactly as the main
-            // loop would have.
-            let msg = Arc::new(alg.send(r));
-            trace.msg_stats.add_broadcast(msg.wire_bytes() as u64, 1);
-            match transport.unpack(r, p, p, transport.pack(&msg)) {
-                Delivery::Deliver(m) => rcv.insert(p, m),
-                // lint: allow(panic) — loopback frames are never tampered
-                // (FaultPlane contract); violation is a harness bug.
-                _ => unreachable!("loopback frame tampered"),
-            }
-        }
-        alg.receive(r, rcv);
-        // Decisions reached in replayed rounds carry the replayed round
-        // number; re-polling a round that already ran live re-records the
-        // same value, which the trace treats as a no-op.
-        if let Some(v) = alg.decision() {
-            trace.record_decision(p, r, v);
+    let scanned = scan(journal)?;
+    let cut = scanned
+        .snapshots
+        .iter()
+        .rev()
+        .find(|s| s.round < kill)
+        .ok_or(WireError::InvalidValue("no snapshot before the kill"))?;
+    let snap = cut
+        .snaps
+        .get(p.index())
+        .ok_or(WireError::InvalidValue("snapshot universe mismatch"))?;
+    let mut alg = A::restore(snap.as_slice())?;
+    let mut g = Digraph::empty(schedule.n());
+    let mut rcv = Received::new(schedule.n());
+    let mut faults = FaultStats::new();
+    for rec in scanned.rounds.iter().filter(|rec| rec.round > cut.round) {
+        schedule.graph_into(rec.round, &mut g);
+        deliver(rec, &g, p, transport, &mut faults, &mut rcv)?;
+        alg.receive(rec.round, &rcv);
+    }
+    Ok(alg)
+}
+
+/// The one replay step: fills `rcv` with what `p` received of round record
+/// `rec` along its in-edges in `g`, that round's graph. Every frame goes
+/// through the pure fault plane, which decides each edge as it did live;
+/// the frames it destroys are filed in `faults`.
+fn deliver<M, T>(
+    rec: &RoundRecord,
+    g: &Digraph,
+    p: ProcessId,
+    transport: &T,
+    faults: &mut FaultStats,
+    rcv: &mut Received<M>,
+) -> Result<(), WireError>
+where
+    T: Transport<M, Frame = Bytes>,
+{
+    rcv.clear();
+    for q in g.in_neighbors(p).iter() {
+        let frame = rec
+            .frames
+            .get(q.index())
+            .ok_or(WireError::InvalidValue("round record universe mismatch"))?;
+        let d = transport.unpack(rec.round, q, p, frame.clone());
+        if let Some(m) = settle(d, rec.round, q, p, faults) {
+            rcv.insert(q, m);
         }
     }
-    rcv.clear();
-    alg
+    Ok(())
 }
 
 /// [`super::run_lockstep_codec`] with a durable on-disk journal: before
@@ -328,7 +205,7 @@ where
     A: Recoverable,
     A::Msg: Wire,
     P: FaultPlane,
-    W: std::io::Write,
+    W: Write,
 {
     let n = schedule.n();
     assert_eq!(
@@ -336,25 +213,35 @@ where
         n,
         "need exactly one algorithm instance per process"
     );
-    let header = JournalHeader {
-        version: JOURNAL_VERSION,
-        n,
-        seed: meta.seed,
-        engine: ENGINE_LOCKSTEP_JOURNALED,
-        rebase_limit: meta.rebase_limit,
-    };
-    let mut writer = JournalWriter::create(sink, &header)?;
-    let trace = RunTrace::new(n);
-    writer.append_snapshot(&snapshot_record(0, &trace, &algs))?;
+    let mut writer = start_journal(sink, meta, &algs)?;
     run_transport(
         schedule,
         algs,
         until,
         &CodecTransport::new(plane),
         FIRST_ROUND,
-        trace,
+        RunTrace::new(n),
         |r, frames, algs, trace| journal_round(&mut writer, r, frames, algs, trace),
     )
+}
+
+/// Starts a journal in `sink`: the header, then the cut-0 snapshot of
+/// `algs`.
+fn start_journal<A, W>(sink: W, meta: &RunMeta, algs: &[A]) -> std::io::Result<JournalWriter<W>>
+where
+    A: Recoverable,
+    W: Write,
+{
+    let header = JournalHeader {
+        version: JOURNAL_VERSION,
+        n: algs.len(),
+        seed: meta.seed,
+        engine: ENGINE_LOCKSTEP_JOURNALED,
+        rebase_limit: meta.rebase_limit,
+    };
+    let mut writer = JournalWriter::create(sink, &header)?;
+    writer.append_snapshot(&snapshot_record(0, &RunTrace::new(algs.len()), algs))?;
+    Ok(writer)
 }
 
 /// The journaling end-of-round hook: appends round `r`'s sealed frames
@@ -369,7 +256,7 @@ fn journal_round<A, W>(
 ) -> std::io::Result<()>
 where
     A: Recoverable,
-    W: std::io::Write,
+    W: Write,
 {
     writer.append_round(&RoundRecord {
         round: r,
@@ -394,7 +281,7 @@ fn snapshot_record<A: Recoverable>(r: Round, trace: &RunTrace, algs: &[A]) -> Sn
 /// Restarts a [`run_lockstep_journaled`] run from the bytes its killed
 /// predecessor left behind: restores every process from the last durable
 /// snapshot, **replays** the journaled rounds — recomputing message
-/// statistics and the fault ledger by re-running the delivery loop
+/// statistics and the fault ledger by re-running each round's deliveries
 /// through `plane` (the plane is pure, so the outcomes are the original
 /// run's) — and continues live from the first unjournaled round,
 /// appending continuation records to `sink` (which must be positioned at
@@ -420,7 +307,7 @@ where
     A: Recoverable,
     A::Msg: Wire,
     P: FaultPlane,
-    W: std::io::Write,
+    W: Write,
 {
     let scanned = scan(bytes)?;
     if scanned.header.engine != ENGINE_LOCKSTEP_JOURNALED {
@@ -470,20 +357,14 @@ where
             trace.msg_stats.add_broadcast(m.wire_bytes() as u64, cnt);
         }
         for (p, alg) in algs.iter_mut().enumerate() {
-            let me = ProcessId::from_usize(p);
-            rcv.clear();
-            for q in g.in_neighbors(me).iter() {
-                let frame = rec
-                    .frames
-                    .get(q.index())
-                    .ok_or(WireError::InvalidValue("round record universe mismatch"))?;
-                let d = transport.unpack(r, q, me, frame.clone());
-                if let Some(m) = settle(d, r, q, me, &mut trace.faults) {
-                    if r > cut {
-                        rcv.insert(q, m);
-                    }
-                }
-            }
+            deliver(
+                rec,
+                &g,
+                ProcessId::from_usize(p),
+                &transport,
+                &mut trace.faults,
+                &mut rcv,
+            )?;
             if r > cut {
                 alg.receive(r, &rcv);
             }
@@ -527,8 +408,11 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use crate::engine::fixture::{spawn, MinFlood};
+    use crate::algorithm::{RoundAlgorithm, Value};
+    use crate::engine::fixture::{ring_then_complete, spawn, MinFlood};
     use crate::engine::lockstep::run_lockstep_codec;
     use crate::fault::{CorruptionOverlay, NoFaults};
     use crate::schedule::FixedSchedule;
@@ -558,12 +442,71 @@ mod tests {
                 FixedSchedule::synchronous(n),
                 vec![(ProcessId::new(2), kill, restart)],
             );
-            let until = RunUntil::Rounds(12);
-            let (t1, a1) = run_lockstep_codec(&overlay, spawn(n, 3), until, &NoFaults);
-            let (t2, a2) = run_lockstep_recovering(&overlay, spawn(n, 3), until, &NoFaults);
-            assert_traces_identical(&t1, &t2);
-            assert_eq!(a1, a2, "kill={kill} restart={restart}");
+            for until in [
+                RunUntil::Rounds(12),
+                RunUntil::AllDecided { max_rounds: 12 },
+            ] {
+                let (t1, a1) = run_lockstep_codec(&overlay, spawn(n, 3), until, &NoFaults);
+                let (t2, a2) = run_lockstep_recovering(&overlay, spawn(n, 3), until, &NoFaults);
+                assert_traces_identical(&t1, &t2);
+                assert_eq!(a1, a2, "kill={kill} restart={restart} {until:?}");
+            }
         }
+    }
+
+    thread_local! {
+        static RESTORES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// [`MinFlood`] counting its restores in [`RESTORES`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Counted(MinFlood);
+
+    impl RoundAlgorithm for Counted {
+        type Msg = Value;
+        fn send(&self, r: Round) -> Value {
+            self.0.send(r)
+        }
+        fn receive(&mut self, r: Round, received: &Received<Value>) {
+            self.0.receive(r, received);
+        }
+        fn decision(&self) -> Option<Value> {
+            self.0.decision()
+        }
+    }
+
+    impl Recoverable for Counted {
+        fn snapshot(&self) -> Bytes {
+            self.0.snapshot()
+        }
+        fn restore(bytes: &[u8]) -> Result<Self, WireError> {
+            RESTORES.with(|c| c.set(c.get() + 1));
+            MinFlood::restore(bytes).map(Counted)
+        }
+        fn snapshot_due(&self, r: Round) -> bool {
+            self.0.snapshot_due(r)
+        }
+    }
+
+    #[test]
+    fn every_window_that_opened_is_rebuilt_once() {
+        // Process 1 is down in rounds 2–4 and rejoins inside the horizon;
+        // process 4 goes down at round 7 and is still down at run end.
+        // Process 1 decides its own 50 while down, so a rebuild that skips
+        // or misroutes the replay decides 10 instead.
+        let n = 6;
+        let overlay = CrashRestartOverlay::new(
+            ring_then_complete(n),
+            vec![(ProcessId::new(1), 2, 5), (ProcessId::new(4), 7, 30)],
+        );
+        let until = RunUntil::Rounds(12);
+        let spawn_counted = || spawn(n, 3).into_iter().map(Counted).collect::<Vec<_>>();
+        let (t1, a1) = run_lockstep_codec(&overlay, spawn_counted(), until, &NoFaults);
+        RESTORES.with(|c| c.set(0));
+        let (t2, a2) = run_lockstep_recovering(&overlay, spawn_counted(), until, &NoFaults);
+        assert_eq!(RESTORES.with(Cell::get), 2);
+        assert_traces_identical(&t1, &t2);
+        assert_eq!(a1, a2);
     }
 
     #[test]
@@ -742,18 +685,6 @@ mod tests {
         assert!(
             matches!(res, Err(ResumeError::Wire(WireError::InvalidValue(m))) if m.contains("universe")),
             "schedule mismatch must be typed"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed horizon")]
-    fn all_decided_stop_condition_is_rejected() {
-        let overlay = CrashRestartOverlay::new(FixedSchedule::synchronous(2), vec![]);
-        let _ = run_lockstep_recovering(
-            &overlay,
-            spawn(2, 1),
-            RunUntil::AllDecided { max_rounds: 5 },
-            &NoFaults,
         );
     }
 }

@@ -354,7 +354,8 @@ fn composed_overlays_survive_all_three_engines() {
 /// mid-run and resumed from its last canonical snapshot (the estimator's
 /// rebase cut points, serialized with the wire codec) produces a trace
 /// **byte-identical** to the uninterrupted run of the same schedule —
-/// with and without a corruption plane underneath.
+/// with and without a corruption plane underneath, and under the
+/// all-decided stop condition too.
 #[test]
 fn killed_and_resumed_kset_agreement_matches_the_uninterrupted_run() {
     for entropy in 0..3u64 {
@@ -377,17 +378,25 @@ fn killed_and_resumed_kset_agreement_matches_the_uninterrupted_run() {
             "{ctx}: resumed run failed to terminate"
         );
 
-        // corruption plane underneath the kill/restart windows
+        // corruption plane underneath the kill/restart windows, under
+        // either stop condition
         let plane = CorruptionOverlay::new(seed ^ 0xd1e, 0.2).quiet_after(s.stabilization_round());
-        let (resumed_c, _) =
-            run_lockstep_recovering(&s, freshness_spawn(n, &inputs), until, &plane);
-        let (uninterrupted_c, _) =
-            run_lockstep_codec(&s, freshness_spawn(n, &inputs), until, &plane);
-        assert_identical(
-            &resumed_c,
-            &uninterrupted_c,
-            &format!("{ctx}: corruption plane"),
-        );
+        for until in [
+            until,
+            RunUntil::AllDecided {
+                max_rounds: horizon,
+            },
+        ] {
+            let (resumed_c, _) =
+                run_lockstep_recovering(&s, freshness_spawn(n, &inputs), until, &plane);
+            let (uninterrupted_c, _) =
+                run_lockstep_codec(&s, freshness_spawn(n, &inputs), until, &plane);
+            assert_identical(
+                &resumed_c,
+                &uninterrupted_c,
+                &format!("{ctx}: corruption plane, {until:?}"),
+            );
+        }
 
         // and the resumed run still satisfies the paper contract
         let min_k = min_k_on_skeleton(&s.stable_skeleton());
