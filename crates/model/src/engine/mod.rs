@@ -105,12 +105,46 @@ pub(crate) fn settle<M>(
 /// The toy algorithm every engine's unit tests run.
 #[cfg(test)]
 pub(crate) mod fixture {
+    use std::cell::Cell;
+
     use bytes::{Buf, BufMut, Bytes, BytesMut};
     use sskel_graph::{Digraph, ProcessId, Round};
 
     use crate::algorithm::{Received, Recoverable, RoundAlgorithm, Value};
     use crate::schedule::TableSchedule;
-    use crate::wire::{read_uvarint, write_uvarint, WireError};
+    use crate::wire::{read_uvarint, write_uvarint, Wire, WireError, WireSized};
+
+    thread_local! {
+        static DECODES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// How many [`Flood`] messages this thread has decoded so far. The
+    /// lockstep engine and the journal replays decode on the calling
+    /// thread.
+    pub(crate) fn decodes() -> usize {
+        DECODES.with(Cell::get)
+    }
+
+    /// [`MinFlood`]'s message: a value with the same wire bytes as a bare
+    /// [`Value`], whose decodes count in [`decodes`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) struct Flood(pub(crate) Value);
+
+    impl WireSized for Flood {
+        fn wire_bytes(&self) -> usize {
+            self.0.wire_bytes()
+        }
+    }
+
+    impl Wire for Flood {
+        fn encode<B: BufMut>(&self, buf: &mut B) {
+            self.0.encode(buf);
+        }
+        fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
+            DECODES.with(|c| c.set(c.get() + 1));
+            Value::decode(buf).map(Flood)
+        }
+    }
 
     /// Floods the minimum seen value and decides after `horizon` rounds;
     /// snapshots every third round.
@@ -148,12 +182,12 @@ pub(crate) mod fixture {
     }
 
     impl RoundAlgorithm for MinFlood {
-        type Msg = Value;
-        fn send(&self, _r: Round) -> Value {
-            self.x
+        type Msg = Flood;
+        fn send(&self, _r: Round) -> Flood {
+            Flood(self.x)
         }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
-            for (_, &v) in received.iter() {
+        fn receive(&mut self, r: Round, received: &Received<Flood>) {
+            for (_, &Flood(v)) in received.iter() {
                 self.x = self.x.min(v);
             }
             if r >= self.horizon {

@@ -19,9 +19,10 @@
 //!   batch is a `Vec` moved through a channel; the socket link serializes
 //!   it ([`crate::fault::BatchBuilder`] / [`crate::fault::BatchReader`]);
 //! * **shared decodes** — every frame, intra-shard ones included, is
-//!   unpacked through [`crate::fault::Transport::unpack_cached`], and a
-//!   batch (like the intra-shard stash) keeps a broadcast's repeated frames
-//!   adjacent, so a shard decodes each `(round, sender)` frame once;
+//!   unpacked through [`crate::fault::Transport::unpack`] with one decode
+//!   memo per worker, and a batch (like the intra-shard stash) keeps a
+//!   broadcast's repeated frames adjacent, so a shard decodes each
+//!   `(round, sender)` frame once;
 //! * **shared schedule synthesis** — instances driven by the *same*
 //!   schedule object at the same local round share one `graph_into` per
 //!   shard per tick (the later instances copy the first synthesis);
@@ -552,7 +553,7 @@ where
             let buf = buffers[i].as_mut().expect("active instance has buffers");
             let part = &mut parts[i];
             for (p, v, frame) in buf.stash.drain(..) {
-                let d = transport.unpack_cached(r, p, v, frame, &mut cache);
+                let d = transport.unpack(r, p, v, frame, &mut cache);
                 if let Some(msg) = settle(d, r, p, v, &mut part.faults) {
                     buf.rcvs[v.index() - range.start].insert(p, msg);
                 }

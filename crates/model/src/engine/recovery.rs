@@ -19,12 +19,15 @@
 //!
 //! Both replays go through one step, `deliver`: a process's in-edges in
 //! the round's graph, carrying the round record's frames through the pure
-//! fault plane. The drill records every trace component live, the down
-//! process's isolated rounds included, exactly as
-//! [`super::run_lockstep_codec`] does, so its trace is byte-identical to
-//! that run's and its rebuilt states equal the uninterrupted run's (pinned
-//! by the tests below and by `tests/fault_plane.rs` for Algorithm 1):
-//! recovery is indistinguishable from never having crashed.
+//! fault plane and a decode memo per sender. A resume opens each frame
+//! once to validate it and account its bytes, and that decode is the one
+//! all of the frame's untampered deliveries share. The drill records
+//! every trace component live, the down process's isolated rounds
+//! included, exactly as [`super::run_lockstep_codec`] does, so its trace
+//! is byte-identical to that run's and its rebuilt states equal the
+//! uninterrupted run's (pinned by the tests below and by
+//! `tests/fault_plane.rs` for Algorithm 1): recovery is indistinguishable
+//! from never having crashed.
 
 use std::io::Write;
 
@@ -35,7 +38,7 @@ use crate::adversary::CrashRestartOverlay;
 use crate::algorithm::{Received, Recoverable};
 use crate::engine::lockstep::run_transport;
 use crate::engine::{settle, RunUntil};
-use crate::fault::{CodecTransport, FaultPlane, FaultStats, Transport};
+use crate::fault::{CodecTransport, DecodeCache, FaultPlane, FaultStats, Transport};
 use crate::journal::{
     scan, JournalHeader, JournalWriter, ResumeError, RoundRecord, RunMeta, SnapshotRecord,
     ENGINE_LOCKSTEP_JOURNALED, JOURNAL_VERSION,
@@ -135,12 +138,14 @@ where
         .get(p.index())
         .ok_or(WireError::InvalidValue("snapshot universe mismatch"))?;
     let mut alg = A::restore(snap.as_slice())?;
-    let mut g = Digraph::empty(schedule.n());
-    let mut rcv = Received::new(schedule.n());
+    let n = schedule.n();
+    let mut g = Digraph::empty(n);
+    let mut rcv = Received::new(n);
+    let mut memos: Vec<DecodeCache<A::Msg>> = (0..n).map(|_| DecodeCache::new()).collect();
     let mut faults = FaultStats::new();
     for rec in scanned.rounds.iter().filter(|rec| rec.round > cut.round) {
         schedule.graph_into(rec.round, &mut g);
-        deliver(rec, &g, p, transport, &mut faults, &mut rcv)?;
+        deliver(rec, &g, p, transport, &mut memos, &mut faults, &mut rcv)?;
         alg.receive(rec.round, &rcv);
     }
     Ok(alg)
@@ -149,12 +154,14 @@ where
 /// The one replay step: fills `rcv` with what `p` received of round record
 /// `rec` along its in-edges in `g`, that round's graph. Every frame goes
 /// through the pure fault plane, which decides each edge as it did live;
-/// the frames it destroys are filed in `faults`.
+/// the frames it destroys are filed in `faults`. `memos` holds one decode
+/// memo per sender, shared by the untampered deliveries of its frame.
 fn deliver<M, T>(
     rec: &RoundRecord,
     g: &Digraph,
     p: ProcessId,
     transport: &T,
+    memos: &mut [DecodeCache<M>],
     faults: &mut FaultStats,
     rcv: &mut Received<M>,
 ) -> Result<(), WireError>
@@ -163,11 +170,11 @@ where
 {
     rcv.clear();
     for q in g.in_neighbors(p).iter() {
-        let frame = rec
-            .frames
-            .get(q.index())
-            .ok_or(WireError::InvalidValue("round record universe mismatch"))?;
-        let d = transport.unpack(rec.round, q, p, frame.clone());
+        let (Some(frame), Some(memo)) = (rec.frames.get(q.index()), memos.get_mut(q.index()))
+        else {
+            return Err(WireError::InvalidValue("round record universe mismatch"));
+        };
+        let d = transport.unpack(rec.round, q, p, frame.clone(), memo);
         if let Some(m) = settle(d, rec.round, q, p, faults) {
             rcv.insert(q, m);
         }
@@ -339,15 +346,17 @@ where
     let transport = CodecTransport::new(plane);
     let mut g = Digraph::empty(n);
     let mut rcv: Received<A::Msg> = Received::new(n);
+    let mut memos: Vec<DecodeCache<A::Msg>> = (0..n).map(|_| DecodeCache::new()).collect();
     for rec in &scanned.rounds {
         let r = rec.round;
         schedule.graph_into(r, &mut g);
-        for (p, frame) in rec.frames.iter().enumerate() {
-            // Senders must re-decode their own frame for the byte
-            // accounting; this also rejects adversarial journals whose
-            // frames don't hold a valid message.
-            let m: A::Msg = crate::fault::open(frame.as_slice())?;
+        for (p, (frame, memo)) in rec.frames.iter().zip(&mut memos).enumerate() {
+            // Each sender's frame is opened once: the byte accounting
+            // needs the message, an adversarial journal whose frame holds
+            // no valid message is rejected here, and the decode is the one
+            // the frame's untampered deliveries share.
             let me = ProcessId::from_usize(p);
+            let m = memo.open(r, me, frame)?;
             let cnt = <CodecTransport<&P> as Transport<A::Msg>>::delivered_count(
                 &transport,
                 r,
@@ -362,6 +371,7 @@ where
                 &g,
                 ProcessId::from_usize(p),
                 &transport,
+                &mut memos,
                 &mut trace.faults,
                 &mut rcv,
             )?;
@@ -412,9 +422,9 @@ mod tests {
 
     use super::*;
     use crate::algorithm::{RoundAlgorithm, Value};
-    use crate::engine::fixture::{ring_then_complete, spawn, MinFlood};
+    use crate::engine::fixture::{decodes, ring_then_complete, spawn, Flood, MinFlood};
     use crate::engine::lockstep::run_lockstep_codec;
-    use crate::fault::{CorruptionOverlay, NoFaults};
+    use crate::fault::{seal, CorruptionOverlay, NoFaults};
     use crate::schedule::FixedSchedule;
 
     fn assert_traces_identical(a: &RunTrace, b: &RunTrace) {
@@ -463,11 +473,11 @@ mod tests {
     struct Counted(MinFlood);
 
     impl RoundAlgorithm for Counted {
-        type Msg = Value;
-        fn send(&self, r: Round) -> Value {
+        type Msg = Flood;
+        fn send(&self, r: Round) -> Flood {
             self.0.send(r)
         }
-        fn receive(&mut self, r: Round, received: &Received<Value>) {
+        fn receive(&mut self, r: Round, received: &Received<Flood>) {
             self.0.receive(r, received);
         }
         fn decision(&self) -> Option<Value> {
@@ -563,15 +573,24 @@ mod tests {
         let s = FixedSchedule::synchronous(n);
         let plane = CorruptionOverlay::new(77, 0.25).quiet_after(6);
         let until = RunUntil::Rounds(10);
+        let before = decodes();
         let (oracle_t, oracle_a) = run_lockstep_codec(&s, spawn(n, 3), until, &plane);
+        // Untampered deliveries share their sender's one decode; a tampered
+        // frame is decoded on its own edge, if at all (a drop is not, nor a
+        // frame cut short of its checksum).
+        let bound = n * 10 + oracle_t.faults.quarantined();
+        assert!(decodes() - before <= bound);
         let mut journal = Vec::new();
+        let before = decodes();
         let _ =
             run_lockstep_journaled(&s, spawn(n, 3), until, &plane, &meta(), &mut journal).unwrap();
+        assert!(decodes() - before <= bound);
         let full = scan(&journal).unwrap();
         let first_snapshot_end = full.record_ends[1]; // header, then cut 0
         for &cut in &full.record_ends {
             let mut store = journal[..cut].to_vec();
             let prefix = store.clone();
+            let before = decodes();
             let res =
                 resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &plane, &mut store);
             if cut < first_snapshot_end {
@@ -582,6 +601,7 @@ mod tests {
                 continue;
             }
             let (t, a) = res.unwrap();
+            assert!(decodes() - before <= bound, "kill at byte {cut}");
             assert_traces_identical(&oracle_t, &t);
             assert_eq!(oracle_a, a, "kill at byte {cut}");
             // the continuation journal is itself complete and scans clean
@@ -603,9 +623,13 @@ mod tests {
                 .unwrap();
         let before = journal.len();
         let prefix = journal.clone();
+        let decoded = decodes();
         let (t2, a2) =
             resume_from_journal::<_, MinFlood, _, _>(&s, &prefix, until, &NoFaults, &mut journal)
                 .unwrap();
+        // Each journaled frame is opened once, and its deliveries share
+        // that decode.
+        assert_eq!(decodes() - decoded, n * t1.rounds_executed as usize);
         assert_traces_identical(&t1, &t2);
         assert_eq!(a1, a2);
         assert_eq!(journal.len(), before, "pure replay appends nothing");
@@ -664,6 +688,36 @@ mod tests {
                 .unwrap();
         assert_traces_identical(&oracle_t, &t);
         assert_eq!(oracle_a, a);
+    }
+
+    #[test]
+    fn a_frame_that_fails_its_validating_open_ends_the_resume() {
+        // A well-formed round record whose frame from process 2 holds no
+        // valid message: the open the deliveries would share rejects it.
+        let n = 4;
+        let s = FixedSchedule::synchronous(n);
+        let mut journal = Vec::new();
+        let mut writer = start_journal(&mut journal, &meta(), &spawn(n, 3)).unwrap();
+        let mut frames: Vec<Bytes> = (0..n).map(|i| seal(&Flood(i as Value))).collect();
+        let mut bad = frames[2].to_vec();
+        bad[0] ^= 1;
+        frames[2] = Bytes::from(bad);
+        writer
+            .append_round(&RoundRecord { round: 1, frames })
+            .unwrap();
+        let res = resume_from_journal::<_, MinFlood, _, _>(
+            &s,
+            &journal,
+            RunUntil::Rounds(4),
+            &NoFaults,
+            Vec::new(),
+        );
+        assert!(matches!(
+            res,
+            Err(ResumeError::Wire(WireError::InvalidValue(
+                "frame checksum mismatch"
+            )))
+        ));
     }
 
     #[test]

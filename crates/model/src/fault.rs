@@ -996,19 +996,19 @@ pub enum Delivery<M> {
     Quarantined(WireError),
 }
 
-/// A caller-owned one-entry memo for [`Transport::unpack_cached`]:
-/// the last successfully decoded untampered frame, keyed by
-/// `(round, sender, frame bytes)`.
+/// A caller-owned one-entry memo for [`Transport::unpack`]: the last
+/// successfully decoded untampered frame, keyed by `(round, sender, frame
+/// bytes)`.
 ///
-/// A broadcast ships the *same* sealed frame to every receiver, and the
-/// shard worker's batches (and its stash) keep those repeats adjacent —
-/// so a receiving worker that remembers its last decode can recognize the
-/// repeat and share one decode across all same-shard receivers of the
-/// broadcast. The memo holds exactly one
-/// entry because the repeats are consecutive; the full byte comparison
-/// (not just the key) is the correctness guard, so colliding
-/// `(round, sender)` pairs from different multiplexed instances simply
-/// miss and re-decode.
+/// A broadcast ships the *same* sealed frame to every receiver, so the
+/// untampered receivers of one broadcast can share one decode. The
+/// lockstep round body and the journal replays keep one memo per sender
+/// (they walk receivers, so a sender's frame recurs across the walk); the
+/// shard worker keeps one per worker, because its batches and its stash
+/// keep a broadcast's repeats adjacent. The memo holds exactly one entry,
+/// and the full byte comparison (not just the key) is the correctness
+/// guard, so colliding `(round, sender)` pairs from different multiplexed
+/// instances simply miss and re-decode.
 pub struct DecodeCache<M> {
     entry: Option<(Round, ProcessId, Bytes, Arc<M>)>,
 }
@@ -1017,6 +1017,28 @@ impl<M> DecodeCache<M> {
     /// An empty memo.
     pub fn new() -> Self {
         DecodeCache { entry: None }
+    }
+}
+
+impl<M: Wire> DecodeCache<M> {
+    /// [`open`]s `frame`, the round-`r` broadcast of `from`: bytes equal
+    /// to the entry's share its decode, anything else is decoded afresh
+    /// and, if valid, becomes the entry. Decoding is deterministic, so a
+    /// shared value is what a fresh decode would have produced.
+    pub(crate) fn open(
+        &mut self,
+        r: Round,
+        from: ProcessId,
+        frame: &Bytes,
+    ) -> Result<Arc<M>, WireError> {
+        if let Some((cr, cfrom, cf, m)) = &self.entry {
+            if *cr == r && *cfrom == from && cf.as_slice() == frame.as_slice() {
+                return Ok(Arc::clone(m));
+            }
+        }
+        let m = Arc::new(open(frame.as_slice())?);
+        self.entry = Some((r, from, frame.clone(), Arc::clone(&m)));
+        Ok(m)
     }
 }
 
@@ -1039,25 +1061,18 @@ pub trait Transport<M>: Sync {
     fn pack(&self, m: &Arc<M>) -> Self::Frame;
 
     /// Unpacks the frame that arrived on `(from → to)` in round `r`,
-    /// applying the fault plane (if any) on the way.
-    fn unpack(&self, r: Round, from: ProcessId, to: ProcessId, f: Self::Frame) -> Delivery<M>;
-
-    /// [`Transport::unpack`] with a caller-owned [`DecodeCache`]: a
-    /// transport *may* share one decode across consecutive receivers of
-    /// the same `(round, sender, bytes)` frame. Implementations must be
-    /// observationally identical to `unpack` — the same [`Delivery`]
-    /// values on every edge, with the fault plane still evaluated
-    /// per `(round, from, to)`. The default ignores the memo.
-    fn unpack_cached(
+    /// evaluating the fault plane (if any) exactly once for the edge.
+    /// `cache` is the caller's decode memo: an untampered frame byte-equal
+    /// to its entry shares that decode, so every untampered receiver of a
+    /// broadcast can share one. The [`Delivery`] is the same with any memo.
+    fn unpack(
         &self,
         r: Round,
         from: ProcessId,
         to: ProcessId,
         f: Self::Frame,
-        _cache: &mut DecodeCache<M>,
-    ) -> Delivery<M> {
-        self.unpack(r, from, to, f)
-    }
+        cache: &mut DecodeCache<M>,
+    ) -> Delivery<M>;
 
     /// How many of the `receivers` of a round-`r` broadcast by `from`
     /// will actually receive it (the plane's survivors).
@@ -1076,7 +1091,14 @@ impl<M: Send + Sync + 'static> Transport<M> for ArcTransport {
         Arc::clone(m)
     }
 
-    fn unpack(&self, _r: Round, _from: ProcessId, _to: ProcessId, f: Arc<M>) -> Delivery<M> {
+    fn unpack(
+        &self,
+        _r: Round,
+        _from: ProcessId,
+        _to: ProcessId,
+        f: Arc<M>,
+        _cache: &mut DecodeCache<M>,
+    ) -> Delivery<M> {
         Delivery::Deliver(f)
     }
 
@@ -1107,10 +1129,19 @@ impl<M: Wire + Send + Sync + 'static, P: FaultPlane> Transport<M> for CodecTrans
         seal(&**m)
     }
 
-    fn unpack(&self, r: Round, from: ProcessId, to: ProcessId, f: Bytes) -> Delivery<M> {
+    /// An untampered frame is opened through the memo; a tampered one is
+    /// mangled in a copy and decoded on its own, never touching the memo.
+    fn unpack(
+        &self,
+        r: Round,
+        from: ProcessId,
+        to: ProcessId,
+        f: Bytes,
+        cache: &mut DecodeCache<M>,
+    ) -> Delivery<M> {
         match self.plane.tamper(r, from, to) {
-            None => match open(&f) {
-                Ok(m) => Delivery::Deliver(Arc::new(m)),
+            None => match cache.open(r, from, &f) {
+                Ok(m) => Delivery::Deliver(m),
                 // Unreachable for frames we sealed ourselves, but the
                 // receiver survives a misbehaving sender all the same.
                 Err(e) => Delivery::Quarantined(e),
@@ -1127,37 +1158,6 @@ impl<M: Wire + Send + Sync + 'static, P: FaultPlane> Transport<M> for CodecTrans
                     Err(e) => Delivery::Quarantined(e),
                 }
             }
-        }
-    }
-
-    /// Decode sharing: an untampered edge whose bytes equal the memo's
-    /// entry reuses the decoded [`Arc`] instead of re-running
-    /// `open`. Decoding is deterministic, so the shared value is what a
-    /// fresh decode would have produced; a tampered edge takes the full
-    /// [`Transport::unpack`] path and never touches the memo.
-    fn unpack_cached(
-        &self,
-        r: Round,
-        from: ProcessId,
-        to: ProcessId,
-        f: Bytes,
-        cache: &mut DecodeCache<M>,
-    ) -> Delivery<M> {
-        if self.plane.tamper(r, from, to).is_some() {
-            return self.unpack(r, from, to, f);
-        }
-        if let Some((cr, cfrom, cf, m)) = &cache.entry {
-            if *cr == r && *cfrom == from && cf.as_slice() == f.as_slice() {
-                return Delivery::Deliver(Arc::clone(m));
-            }
-        }
-        match open(&f) {
-            Ok(m) => {
-                let m = Arc::new(m);
-                cache.entry = Some((r, from, f, Arc::clone(&m)));
-                Delivery::Deliver(m)
-            }
-            Err(e) => Delivery::Quarantined(e),
         }
     }
 
@@ -1202,57 +1202,77 @@ mod tests {
 
     #[test]
     fn unpack_cached_shares_decodes_but_faults_per_edge() {
-        // Drops every frame addressed to process 1, leaves the rest alone.
-        struct DropTo1;
-        impl FaultPlane for DropTo1 {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // Drops every frame addressed to process 1, flips a bit in every
+        // frame addressed to process 3, leaves the rest alone, and counts
+        // its verdicts.
+        #[derive(Default)]
+        struct Plane {
+            verdicts: AtomicUsize,
+        }
+        impl FaultPlane for Plane {
             fn tamper(&self, _r: Round, _from: ProcessId, to: ProcessId) -> Option<Tamper> {
-                (to == ProcessId::from_usize(1)).then_some(Tamper::Drop)
+                self.verdicts.fetch_add(1, Ordering::Relaxed);
+                match to.index() {
+                    1 => Some(Tamper::Drop),
+                    3 => Some(Tamper::BitFlip { bit: 0 }),
+                    _ => None,
+                }
             }
         }
-        let t: CodecTransport<DropTo1> = CodecTransport::new(DropTo1);
+        let plane = Plane::default();
+        let t = CodecTransport::new(&plane);
         let mut cache: DecodeCache<u64> = DecodeCache::new();
+        let mut edges = 0;
+        // Unpacks process 0's round-`r` frame on the edge to `to`; the
+        // plane is asked exactly once per edge, tampered or not.
+        let mut unpack = |r: Round, to: usize, frame: &Bytes| {
+            let d = t.unpack(r, p(0), p(to), frame.clone(), &mut cache);
+            edges += 1;
+            assert_eq!(plane.verdicts.load(Ordering::Relaxed), edges);
+            d
+        };
+        let delivered = |d: Delivery<u64>| match d {
+            Delivery::Deliver(m) => m,
+            _ => panic!("untampered frame must deliver"),
+        };
         let frame = seal(&7u64);
 
         // First untampered edge decodes and populates the memo; the next
         // receiver of the same (round, sender, bytes) shares that decode
         // (same Arc, not merely an equal value).
-        let a = match t.unpack_cached(1, p(0), p(0), frame.clone(), &mut cache) {
-            Delivery::Deliver(m) => m,
-            _ => panic!("untampered frame must deliver"),
-        };
-        let b = match t.unpack_cached(1, p(0), p(2), frame.clone(), &mut cache) {
-            Delivery::Deliver(m) => m,
-            _ => panic!("untampered repeat must deliver"),
-        };
+        let a = delivered(unpack(1, 0, &frame));
+        let b = delivered(unpack(1, 2, &frame));
         assert!(Arc::ptr_eq(&a, &b), "repeat did not share the decode");
 
-        // The plane is still consulted per edge: a tampered edge between
-        // two cache hits takes the full unpack path.
+        // Tampered edges between two hits decode (or drop) on their own
+        // and leave the memo alone.
+        assert!(matches!(unpack(1, 1, &frame), Delivery::Dropped));
         assert!(matches!(
-            t.unpack_cached(1, p(0), p(1), frame.clone(), &mut cache),
-            Delivery::Dropped
+            unpack(1, 3, &frame),
+            Delivery::Quarantined(WireError::InvalidValue("frame checksum mismatch"))
         ));
+        assert!(Arc::ptr_eq(&a, &delivered(unpack(1, 4, &frame))));
 
         // Equal key, different bytes (another multiplexed instance at the
         // same local round): the byte comparison forces a fresh decode.
-        let other = seal(&8u64);
-        match t.unpack_cached(1, p(0), p(2), other, &mut cache) {
-            Delivery::Deliver(m) => assert_eq!(*m, 8),
-            _ => panic!("differing bytes must decode freshly"),
-        }
+        assert_eq!(*delivered(unpack(1, 2, &seal(&8u64))), 8);
 
         // Garbage after a hit neither panics nor poisons the memo.
         let mut bad = frame.to_vec();
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
         assert!(matches!(
-            t.unpack_cached(1, p(0), p(2), Bytes::from(bad), &mut cache),
+            unpack(1, 2, &Bytes::from(bad)),
             Delivery::Quarantined(WireError::InvalidValue("frame checksum mismatch"))
         ));
-        match t.unpack_cached(2, p(0), p(2), frame, &mut cache) {
-            Delivery::Deliver(m) => assert_eq!(*m, 7),
-            _ => panic!("fresh round must decode"),
-        }
+        assert_eq!(
+            *delivered(unpack(2, 2, &frame)),
+            7,
+            "fresh round must decode"
+        );
+        assert_eq!(edges, 8);
     }
 
     #[test]
