@@ -1,7 +1,13 @@
-//! Hot-path performance record: runs the `full_run`, `approx_update` and
-//! `engines` workloads with a plain wall-clock harness and writes
-//! `BENCH_hotpath.json` at the repository root, seeding the perf
-//! trajectory that future PRs extend.
+//! Hot-path performance record, the one harness for the hot path. It
+//! times whole runs (`full_run`, `engines`, `multiplex`, `adversary`,
+//! `journal`), one estimator round (`approx_update`) and the layers
+//! beneath them: the wire codec against the merge it feeds (`wire`,
+//! `graph/merge_max`), the batched merge, the bitset primitives (`graph`,
+//! `pset`), SCC (`scc`), the line-28 decision test (`decision`) and the
+//! `Psrcs(k)` checkers (`psrcs`). It uses a plain wall-clock harness and
+//! writes `BENCH_hotpath.json` at the repository root, with the host it
+//! ran on, seeding the perf trajectory that future PRs extend. Each
+//! layer family checks its result once, outside the timed closure.
 //!
 //! ```text
 //! cargo run --release -p sskel-bench --bin perf_report
@@ -10,7 +16,8 @@
 //! `--smoke` runs every workload in 1-sample mode with minimal warm-up and
 //! writes the report next to the build artifacts instead of the curated
 //! repository file — CI runs this so regeneration of `BENCH_hotpath.json`
-//! cannot silently bit-rot, without clobbering the recorded medians:
+//! cannot silently bit-rot, without clobbering the recorded medians. The
+//! layer families' checks run in this mode too:
 //!
 //! ```text
 //! cargo run --release -p sskel-bench --bin perf_report -- --smoke
@@ -23,16 +30,24 @@ use std::time::{Duration, Instant};
 /// `--smoke`: 1-sample mode exercising every workload and the JSON writer.
 static SMOKE: AtomicBool = AtomicBool::new(false);
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use sskel_bench::{inputs, ring_skeleton, ring_with_chords, std_schedule, SEED};
-use sskel_graph::{Digraph, LabeledDigraph, ProcessId, ProcessSet, Round};
+use sskel_graph::{
+    is_strongly_connected, rand_graph, reach, tarjan, Digraph, LabeledDigraph, ProcessId,
+    ProcessSet, Round,
+};
 use sskel_kset::{lemma11_bound, AgreementPool, DecisionRule, KSetAgreement, SkeletonEstimator};
 use sskel_model::engine::{resume_from_journal, run_lockstep_journaled};
+use sskel_model::skeleton::pt_sets;
 use sskel_model::{
     run_lockstep, run_lockstep_codec, run_multiplex_codec, run_sharded, run_sharded_codec,
     run_socket, ChurnAdversary, CorruptionOverlay, FixedSchedule, MultiplexPlan, MuxInstance,
     NoFaults, RotatingRootAdversary, RunMeta, RunUntil, Schedule, ShardPlan, SocketPlan,
-    StableRootAdversary,
+    StableRootAdversary, Wire,
 };
+use sskel_predicates::{planted_psrcs_skeleton, psrcs};
 
 struct Record {
     id: String,
@@ -476,6 +491,228 @@ fn journal_workloads(out: &mut Vec<Record>) {
     }));
 }
 
+/// A dense labelled graph at round `r = 4n`: every ordered pair of the
+/// `n` processes, self-loops included, with labels spread over the whole
+/// window `(r − n, r]` that line 24 leaves live, above a base of `r − n`.
+fn dense_labeled(n: usize) -> LabeledDigraph {
+    let r = 4 * n as Round;
+    let mut g = LabeledDigraph::new(n);
+    g.rebase(r - n as Round);
+    for u in 0..n {
+        for v in 0..n {
+            let label = r - ((u + v) % n) as Round;
+            g.set_edge_max(ProcessId::from_usize(u), ProcessId::from_usize(v), label);
+        }
+    }
+    g
+}
+
+/// The codec against the merge it feeds: encoding and decoding one dense
+/// graph per `n`, and merging that graph into a reset accumulator. Decode
+/// per call against `graph/merge_max` of the same graph is ROADMAP item
+/// 2's gauge. Checks `decode(encode(g)) == g`.
+fn codec_vs_merge_workloads(out: &mut Vec<Record>) {
+    for &n in &[16usize, 48] {
+        let g = dense_labeled(n);
+        let mut buf = Vec::new();
+        g.encode(&mut buf);
+        let bytes = buf.clone();
+        let back = LabeledDigraph::decode(&mut &bytes[..]).expect("decode an encoded graph");
+        assert!(
+            back == g,
+            "wire/*/dense/{n}: decode(encode(g)) differs from g"
+        );
+
+        out.push(measure(&format!("wire/encode/dense/{n}"), || {
+            buf.clear();
+            g.encode(&mut buf);
+            buf.len()
+        }));
+        out.push(measure(&format!("wire/decode/dense/{n}"), || {
+            LabeledDigraph::decode(&mut &bytes[..])
+                .expect("decode an encoded graph")
+                .edge_count()
+        }));
+        let seed = ProcessId::new(0);
+        let mut acc = LabeledDigraph::with_node(n, seed);
+        out.push(measure(&format!("graph/merge_max/dense/{n}"), || {
+            acc.reset_to_node(seed);
+            acc.merge_max(&g);
+            acc.edge_count()
+        }));
+    }
+}
+
+/// One round's `n` received graphs over a universe of `n`, with labels
+/// in a band like the estimator's steady state.
+fn labelled_batch(rng: &mut StdRng, n: usize, p: f64) -> Vec<LabeledDigraph> {
+    (0..n)
+        .map(|i| {
+            let skel = rand_graph::gnp(rng, n, p, true);
+            let mut g = LabeledDigraph::new(n);
+            for (u, v) in skel.edges() {
+                g.set_edge_max(u, v, (n + u.index() + i) as Round);
+            }
+            g
+        })
+        .collect()
+}
+
+/// Lines 18–23 as the estimator runs them: one round's 64 payloads folded
+/// into a reset accumulator by `merge_max_batch`. Checks that the batch
+/// equals the sequential `merge_max` fold.
+fn merge_batch_workloads(out: &mut Vec<Record>) {
+    let n = 64usize;
+    for (shape, p) in [("dense", 0.9), ("sparse", 3.0 / n as f64)] {
+        let batch = labelled_batch(&mut StdRng::seed_from_u64(7), n, p);
+        let refs: Vec<&LabeledDigraph> = batch.iter().collect();
+        let seed = ProcessId::new(0);
+        let mut acc = LabeledDigraph::with_node(n, seed);
+        acc.merge_max_batch(&refs);
+        let mut fold = LabeledDigraph::with_node(n, seed);
+        for g in &batch {
+            fold.merge_max(g);
+        }
+        assert!(
+            acc == fold,
+            "graph/merge_max_batch/{shape}/{n}: the batch differs from the sequential fold"
+        );
+
+        out.push(measure(
+            &format!("graph/merge_max_batch/{shape}/{n}"),
+            || {
+                acc.reset_to_node(seed);
+                acc.merge_max_batch(&refs);
+                acc.edge_count()
+            },
+        ));
+    }
+}
+
+/// The word-parallel primitives the skeleton and the estimator are built
+/// on: skeleton intersection, ancestor BFS and bitset set algebra.
+fn graph_primitive_workloads(out: &mut Vec<Record>) {
+    let n = 1024usize;
+    let mut rng = StdRng::seed_from_u64(3);
+    let a = rand_graph::gnp(&mut rng, n, 0.3, true);
+    let b = rand_graph::gnp(&mut rng, n, 0.3, true);
+    let mut g = a.clone();
+    out.push(measure(&format!("graph/intersect/{n}"), || {
+        g.clone_from(&a);
+        g.intersect_with(&b);
+        g.edge_count()
+    }));
+    let sparse = rand_graph::gnp(&mut StdRng::seed_from_u64(5), n, 3.0 / n as f64, true);
+    let full = ProcessSet::full(n);
+    out.push(measure(&format!("graph/ancestors/{n}"), || {
+        reach::ancestors(&sparse, ProcessId::new(0), &full).len()
+    }));
+
+    let n = 4096usize;
+    let mut rng = StdRng::seed_from_u64(11);
+    let a = rand_graph::random_subset(&mut rng, n, 0.5);
+    let b = rand_graph::random_subset(&mut rng, n, 0.5);
+    let mut s = a.clone();
+    out.push(measure(&format!("pset/intersect/{n}"), || {
+        s.clone_from(&a);
+        s.intersect_with(&b);
+        s.len()
+    }));
+    out.push(measure(&format!("pset/iterate/{n}"), || {
+        a.iter().map(|p| p.index()).sum::<usize>()
+    }));
+}
+
+/// Tarjan's full decomposition against the two-BFS strong-connectivity
+/// test, on sparse `G(n, 4/n)` with self-loops. Checks that Tarjan finds
+/// one component exactly when the two-BFS test says strongly connected.
+fn scc_workloads(out: &mut Vec<Record>) {
+    for &n in &[64usize, 256] {
+        let g = rand_graph::gnp(&mut StdRng::seed_from_u64(7), n, 4.0 / n as f64, true);
+        let full = ProcessSet::full(n);
+        assert_eq!(
+            tarjan(&g, &full).count() == 1,
+            is_strongly_connected(&g, &full),
+            "scc/*/{n}: Tarjan and the two-BFS test disagree"
+        );
+
+        out.push(measure(&format!("scc/tarjan/{n}"), || {
+            tarjan(&g, &full).count()
+        }));
+        out.push(measure(&format!("scc/two_bfs/{n}"), || {
+            is_strongly_connected(&g, &full)
+        }));
+    }
+}
+
+/// Line 28's decision test on a dense steady-state estimator: strong
+/// connectivity, and the coherent freshness `FreshnessGuarded` adds.
+/// Checks that both hold on the synchronous steady state.
+fn decision_workloads(out: &mut Vec<Record>) {
+    for &n in &[32usize, 64] {
+        let r = 2 * n as Round;
+        let mut ests = steady_state(&Digraph::complete(n), r);
+        let est = &mut ests[0];
+        assert!(
+            est.is_strongly_connected() && est.is_coherently_fresh(r),
+            "decision/*/{n}: the synchronous steady state fails the decision test"
+        );
+
+        out.push(measure(&format!("decision/strongly_connected/{n}"), || {
+            est.is_strongly_connected()
+        }));
+        out.push(measure(&format!("decision/coherently_fresh/{n}"), || {
+            est.is_coherently_fresh(r)
+        }));
+    }
+}
+
+/// The `Psrcs(k)` checkers on planted skeletons: literal subset
+/// enumeration against the independence-number form, and `min_k`.
+/// Checks that both checkers accept the planted `Psrcs(3)` cover, and
+/// that `min_k` stays within the planted `k` at `n = 64`.
+fn psrcs_workloads(out: &mut Vec<Record>) {
+    let (n, k) = (16usize, 3usize);
+    let (skel, _) = planted_psrcs_skeleton(&mut StdRng::seed_from_u64(42), n, k, 0.08);
+    let pt = pt_sets(&skel);
+    assert!(
+        psrcs::holds_naive(&pt, k) && psrcs::holds(&pt, k),
+        "psrcs/*/{n}_k{k}: a checker rejects the planted cover"
+    );
+    out.push(measure(&format!("psrcs/naive/{n}_k{k}"), || {
+        psrcs::holds_naive(&pt, k)
+    }));
+    out.push(measure(&format!("psrcs/alpha_mis/{n}_k{k}"), || {
+        psrcs::holds(&pt, k)
+    }));
+
+    let (n, k) = (64usize, 8usize);
+    let (skel, _) = planted_psrcs_skeleton(&mut StdRng::seed_from_u64(7), n, k, 0.05);
+    let pt = pt_sets(&skel);
+    assert!(
+        psrcs::min_k(&pt) <= k,
+        "psrcs/min_k/{n}: min_k exceeds the planted k = {k}"
+    );
+    out.push(measure(&format!("psrcs/min_k/{n}"), || psrcs::min_k(&pt)));
+}
+
+/// The host as a JSON object, since medians are comparable only between
+/// runs on one host: `nproc` (0 if unknown) and the first `model name` of
+/// `/proc/cpuinfo` (`"unknown"` if there is none).
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().replace('\\', "\\\\").replace('"', "\\\""))
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": \"{model}\"}}")
+}
+
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         SMOKE.store(true, Ordering::Relaxed);
@@ -489,6 +726,12 @@ fn main() {
     multiplex_workloads(&mut records);
     adversary_workloads(&mut records);
     journal_workloads(&mut records);
+    codec_vs_merge_workloads(&mut records);
+    merge_batch_workloads(&mut records);
+    graph_primitive_workloads(&mut records);
+    scc_workloads(&mut records);
+    decision_workloads(&mut records);
+    psrcs_workloads(&mut records);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": \"sskel-perf-v1\",");
@@ -500,6 +743,7 @@ fn main() {
             .map(|d| d.as_secs())
             .unwrap_or(0)
     );
+    let _ = writeln!(json, "  \"host\": {},", host_json());
     let _ = writeln!(json, "  \"benches\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 == records.len() { "" } else { "," };

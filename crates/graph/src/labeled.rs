@@ -466,11 +466,11 @@ impl LabeledDigraph {
     /// each received graph `G_q`, `q ∈ PT_p`, implements lines 18–23 of
     /// Algorithm 1.
     ///
-    /// Runs row-wise over the label matrix: per source row, only the 64-bit
-    /// adjacency words `other` actually populates are visited, labels are
-    /// max-combined in the row slice, and the `out`/`inn` bitsets are
-    /// updated word-at-a-time from the edge additions. No allocation, no
-    /// per-edge index arithmetic.
+    /// A batch of one for [`LabeledDigraph::merge_max_batch`]: per row
+    /// `other` ever wrote, only the 64-bit adjacency words it populates
+    /// are visited, labels are max-combined in the row slice, and the
+    /// `out`/`inn` bitsets are updated word-at-a-time from the edge
+    /// additions. No allocation, no per-edge index arithmetic.
     ///
     /// # Panics
     /// Panics if the universes differ, or if the combined label spread of
@@ -496,43 +496,7 @@ impl LabeledDigraph {
     /// assert_eq!(g.node_count(), 3); // node sets unioned, line 18
     /// ```
     pub fn merge_max(&mut self, other: &Self) {
-        assert_eq!(self.n, other.n, "labelled graphs over different universes");
-        self.align_bases(&[other]);
-        let shift = other.base.wrapping_sub(self.base) as u16;
-        let n = self.n as usize;
-        self.nodes.union_with(&other.nodes);
-        self.row_dirty.union_with(&other.row_dirty);
-        for u in other.nodes.iter() {
-            let ui = u.index();
-            let other_row = &other.out[ui];
-            if other_row.is_empty() {
-                continue;
-            }
-            let base = ui * n;
-            let src = &other.labels[base..base + n];
-            let dst = &mut self.labels[base..base + n];
-            for (wi, &ow) in other_row.words().iter().enumerate() {
-                if ow == 0 {
-                    continue;
-                }
-                let lo = wi * 64;
-                let hi = (lo + 64).min(n);
-                Self::max_combine_chunk(&mut dst[lo..hi], &src[lo..hi], shift);
-                // A column is labelled afterwards iff it was labelled in
-                // either operand, so the new out-word is exactly old | ow.
-                let old = self.out[ui].word(wi);
-                let added = ow & !old;
-                if added != 0 {
-                    self.out[ui].set_word(wi, old | ow);
-                    let mut a = added;
-                    while a != 0 {
-                        let v = lo + a.trailing_zeros() as usize;
-                        a &= a - 1;
-                        self.inn[v].insert(u);
-                    }
-                }
-            }
-        }
+        self.merge_max_batch(std::slice::from_ref(&other));
     }
 
     /// Merges a whole batch of labelled graphs into this one in a single
@@ -608,6 +572,9 @@ impl LabeledDigraph {
                         let lo = wi * 64;
                         let hi = (lo + 64).min(n);
                         Self::max_combine_chunk(&mut dst[lo..hi], &src[lo..hi], shift);
+                        // A column is labelled afterwards iff it was
+                        // labelled in either operand: the new out-word is
+                        // exactly old | ow.
                         let old = out_row.word(wi);
                         let added = ow & !old;
                         if added != 0 {

@@ -16,8 +16,8 @@
 //!   [`LabeledDigraph`]s with max-combine merging, label aging and
 //!   reachability pruning;
 //! * **strongly connected components** and **root components** — [`scc`] and
-//!   [`roots`], with two independent SCC implementations cross-checked by
-//!   property tests.
+//!   [`roots`], with Tarjan's SCC cross-checked by property tests against
+//!   an independent, test-only Kosaraju.
 //!
 //! The higher layers (`sskel-model`, `sskel-predicates`, `sskel-kset`) build
 //! the round model, the `Psrcs(k)` predicate machinery, and Algorithm 1 on
@@ -46,4 +46,4 @@ pub use labeled::LabeledDigraph;
 pub use process::{ProcessId, Round, FIRST_ROUND};
 pub use pset::ProcessSet;
 pub use roots::{root_components, Condensation};
-pub use scc::{is_strongly_connected, kosaraju, tarjan, SccDecomposition};
+pub use scc::{is_strongly_connected, tarjan, SccDecomposition};

@@ -3,10 +3,9 @@
 //! The paper's central objects — root components of the stable skeleton
 //! (Theorem 1), the components `C^r_p` (Lemmas 5, 7, 14), and Algorithm 1's
 //! decision test "is `G_p` strongly connected?" (line 28) — are all SCC
-//! computations. We provide two independent implementations, an iterative
-//! Tarjan and an iterative Kosaraju, cross-checked against each other by
-//! property tests, plus a cheap two-BFS strong-connectivity test for the
-//! per-round decision check.
+//! computations. We provide an iterative Tarjan, cross-checked by property
+//! tests against a test-only iterative Kosaraju, plus a cheap two-BFS
+//! strong-connectivity test for the per-round decision check.
 
 use crate::adjacency::Adjacency;
 use crate::process::ProcessId;
@@ -29,9 +28,9 @@ impl SccDecomposition {
         self.comps.len()
     }
 
-    /// The components. For [`tarjan`] they are in *reverse topological*
-    /// order of the condensation (a component appears only after every
-    /// component it can reach); for [`kosaraju`] in *topological* order.
+    /// The components, in *reverse topological* order of the
+    /// condensation: a component appears only after every component it
+    /// can reach.
     #[inline]
     pub fn components(&self) -> &[ProcessSet] {
         &self.comps
@@ -146,11 +145,11 @@ pub fn tarjan<G: Adjacency>(g: &G, within: &ProcessSet) -> SccDecomposition {
     SccDecomposition { comp_of, comps }
 }
 
-/// Iterative Kosaraju SCC over the subgraph induced by `within`.
-///
-/// Components are emitted in topological order of the condensation
-/// (source components first). Used as an independent oracle for [`tarjan`].
-pub fn kosaraju<G: Adjacency>(g: &G, within: &ProcessSet) -> SccDecomposition {
+/// Iterative Kosaraju SCC over the subgraph induced by `within`: the
+/// test-only oracle that [`tarjan`] is cross-checked against. Shares no
+/// traversal code with it.
+#[cfg(test)]
+fn kosaraju<G: Adjacency>(g: &G, within: &ProcessSet) -> SccDecomposition {
     let n = g.n();
     assert_eq!(n, within.universe(), "mask universe mismatch");
 
@@ -272,6 +271,7 @@ pub fn is_strongly_connected_with<G: Adjacency>(
 mod tests {
     use super::*;
     use crate::digraph::Digraph;
+    use proptest::prelude::*;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::from_usize(i)
@@ -327,14 +327,6 @@ mod tests {
             .map(|c| c.first().unwrap().index())
             .collect();
         assert_eq!(order, vec![2, 1, 0]);
-        // ... and Kosaraju source-first.
-        let scc = kosaraju(&g, &ProcessSet::full(3));
-        let order: Vec<usize> = scc
-            .components()
-            .iter()
-            .map(|c| c.first().unwrap().index())
-            .collect();
-        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -385,5 +377,38 @@ mod tests {
         g.add_self_loops();
         let scc = tarjan(&g, &ProcessSet::full(3));
         assert_eq!(scc.count(), 3);
+    }
+
+    /// A universe of 1–23 processes, an arbitrary edge list over it and an
+    /// arbitrary node mask.
+    fn arb_digraph_and_mask() -> impl Strategy<Value = (Digraph, ProcessSet)> {
+        (1..24usize).prop_flat_map(|n| {
+            (
+                proptest::collection::vec((0..n, 0..n), 0..(n * n).min(150))
+                    .prop_map(move |edges| Digraph::from_edges(n, edges)),
+                proptest::collection::vec(0..n, 0..n)
+                    .prop_map(move |v| ProcessSet::from_indices(n, v)),
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn tarjan_equals_kosaraju((g, mask) in arb_digraph_and_mask()) {
+            let t = tarjan(&g, &mask);
+            let k = kosaraju(&g, &mask);
+            prop_assert_eq!(t.canonical(), k.canonical());
+            // components partition the mask
+            let mut union = ProcessSet::empty(g.n());
+            let mut total = 0usize;
+            for c in t.components() {
+                prop_assert!(!c.is_empty());
+                prop_assert!(union.is_disjoint(c));
+                union.union_with(c);
+                total += c.len();
+            }
+            prop_assert_eq!(&union, &mask);
+            prop_assert_eq!(total, mask.len());
+        }
     }
 }

@@ -93,7 +93,7 @@ fn source_anchors(text: &str) -> Vec<(String, Option<u64>)> {
                     line = Some(digits.parse::<u64>().expect("checked digits"));
                 }
             }
-            // glob mentions like `crates/bench/benches/` + `*.rs` leave a
+            // glob mentions like `crates/bench/src/bin/` + `*.rs` leave a
             // trailing directory path — that is fine, directories count.
             if path.ends_with('/') {
                 path.pop();
@@ -282,7 +282,7 @@ fn cited_markdown_files_exist() {
 fn extractors_parse_the_expected_shapes() {
     let text = "See [map](../docs/ARCHITECTURE.md) and `crates/core/src/alg1.rs:92` \
                 (also `crates/core/src/approx.rs:213-216`, plus plain crates/graph \
-                and the glob crates/bench/benches/*.rs).";
+                and the glob crates/bench/src/bin/*.rs).";
     assert_eq!(
         markdown_link_targets(text),
         vec!["../docs/ARCHITECTURE.md".to_owned()]
@@ -291,7 +291,7 @@ fn extractors_parse_the_expected_shapes() {
     assert!(anchors.contains(&("crates/core/src/alg1.rs".to_owned(), Some(92))));
     assert!(anchors.contains(&("crates/core/src/approx.rs".to_owned(), Some(213))));
     assert!(anchors.contains(&("crates/graph".to_owned(), None)));
-    assert!(anchors.contains(&("crates/bench/benches".to_owned(), None)));
+    assert!(anchors.contains(&("crates/bench/src/bin".to_owned(), None)));
 
     let prose = "See `docs/TESTING.md`, [map](../docs/ARCHITECTURE.md), README.md, \
                  every docs/*.md and the .mdx file x.mdx.";
